@@ -8,7 +8,6 @@ modes (decay-induced interference), plus the reduced three-level V system.
 
 from .params import (
     ParameterError,
-    ProbeGrid,
     SystemKind,
     SystemParams,
     delta_from_delta1,
@@ -22,16 +21,13 @@ from .liouvillian import (
     hermitian_reconstruct,
 )
 from .floquet import (
-    FloquetSolution,
     ProbeResponse,
     SpectrumPoint,
     dispersion_slope,
     group_velocity_ratio,
     interference_sweep,
     probe_spectrum,
-    pump_coherence_sweep,
-    pump_population_sweep,
-    solve_floquet,
+    pump_sweep,
     susceptibility,
 )
 from .dressed import (

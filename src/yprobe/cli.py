@@ -32,6 +32,14 @@ _GRID_KEYS = {
     "dump-liouvillian": (),
 }
 
+# Output-affecting flags with their defaults.  Each is recorded in the
+# emitted configuration and read back from --config; a flag given on the
+# command line overrides the file.
+_OPTIONS = {
+    "probe-spectrum": {"k_value": None},
+    "dressed-evolve": {"oracle_check": False},
+}
+
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
@@ -51,14 +59,18 @@ def _emit_config(out: Path, config: dict):
 
 
 def _resolve_config(args, command: str) -> tuple[SystemParams, dict]:
-    """Merge preset, config file, and grid overrides into (params, grid)."""
+    """Merge preset, config file and flags into (params, grid).
+
+    grid holds the command's grid fields and its output options.
+    """
     grid_keys = _GRID_KEYS[command]
+    options = _OPTIONS.get(command, {})
     if args.config:
         data = json.loads(Path(args.config).read_text())
-        unknown = set(data) - set(_PARAM_KEYS) - set(grid_keys)
+        unknown = set(data) - set(_PARAM_KEYS) - set(grid_keys) - set(options)
         if unknown:
             raise ParameterError(f"unknown configuration keys: {sorted(unknown)}")
-        grid = {k: data.pop(k) for k in grid_keys if k in data}
+        grid = {k: data.pop(k) for k in (*grid_keys, *options) if k in data}
         params = SystemParams.from_dict(data)
     elif args.preset:
         preset = get_preset(args.preset)
@@ -69,11 +81,18 @@ def _resolve_config(args, command: str) -> tuple[SystemParams, dict]:
 
     if getattr(args, "points", None) is not None:
         grid["n_points"] = args.points
+    for key, default in options.items():
+        if getattr(args, key) is not None:
+            grid[key] = getattr(args, key)
+        grid.setdefault(key, default)
     missing = set(grid_keys) - set(grid)
     if missing:
         raise ParameterError(f"missing grid fields for {command}: {sorted(missing)}")
     if "n_points" in grid and grid["n_points"] < 1:
         raise ParameterError(f"grid must be non-empty, got n_points={grid['n_points']}")
+    if not isinstance(grid.get("oracle_check", False), bool):
+        raise ParameterError(
+            f"oracle_check must be true or false, got {grid['oracle_check']!r}")
     return params, grid
 
 
@@ -87,10 +106,10 @@ def cmd_probe_spectrum(args) -> int:
     points = floquet.probe_spectrum(params, values)
     header = ["delta1", "re_chi", "im_chi", "slope"]
     rows = [[pt.delta1, pt.chi.real, pt.chi.imag, pt.slope] for pt in points]
-    if args.k_value is not None:
+    if grid["k_value"] is not None:
         header.append("c_over_vg")
         for row in rows:
-            row.append(floquet.group_velocity_ratio(row[3], args.k_value))
+            row.append(floquet.group_velocity_ratio(row[3], grid["k_value"]))
     out = Path(args.out)
     _write_csv(out, header, rows, args.json)
     _emit_config(out, _full_config(params, grid))
@@ -110,17 +129,17 @@ def cmd_interference_sweep(args) -> int:
 def cmd_pump_sweeps(args) -> int:
     params, grid = _resolve_config(args, "pump-sweeps")
     d2_values = np.linspace(grid["delta2_min"], grid["delta2_max"], grid["n_points"])
-    pops = floquet.pump_population_sweep(params, d2_values)
-    cohs = floquet.pump_coherence_sweep(params, d2_values)
+    rhos = floquet.pump_sweep(params, d2_values)
     out = Path(args.out)
     pop_path = out.with_name(out.stem + "_populations.csv")
     coh_path = out.with_name(out.stem + "_coherences.csv")
     _write_csv(pop_path, ["delta2", "rho11", "rho22", "rho33"],
-               [list(row) for row in pops], args.json)
+               [[d2, *rho.diagonal()[:3].real] for d2, rho in zip(d2_values, rhos)],
+               args.json)
     _write_csv(coh_path,
                ["delta2", "re_rho23", "im_rho23", "re_rho34", "im_rho34"],
-               [[d2, r23.real, r23.imag, r34.real, r34.imag]
-                for d2, r23, r34 in cohs], args.json)
+               [[d2, rho[1, 2].real, rho[1, 2].imag, rho[2, 3].real, rho[2, 3].imag]
+                for d2, rho in zip(d2_values, rhos)], args.json)
     _emit_config(out, _full_config(params, grid))
     return 0
 
@@ -138,7 +157,7 @@ def cmd_dressed_evolve(args) -> int:
 
     steady = dressed.secular_steady_state(table)
     summary = {"steady": dict(zip(header[1:], map(float, steady)))}
-    if args.oracle_check:
+    if grid["oracle_check"]:
         liouv = build_for(params.with_(Omega1=0.0))
         init = np.zeros(liouv.dim, dtype=complex)
         init[liouv.index("33")] = 1.0
@@ -191,13 +210,17 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bundled scenario name")
         p.add_argument("--config", help="flat JSON configuration file")
         p.add_argument("--out", required=True, help="output path")
-        p.add_argument("--points", type=int, help="override grid point count")
-        p.add_argument("--k-value", type=float, default=None,
-                       help="group-velocity prefactor K")
-        p.add_argument("--oracle-check", action="store_true",
-                       help="add a full master-equation comparison column")
-        p.add_argument("--json", action="store_true",
-                       help="mirror CSV output as JSON row objects")
+        if "n_points" in _GRID_KEYS[name]:
+            p.add_argument("--points", type=int, help="override grid point count")
+        if "k_value" in _OPTIONS.get(name, {}):
+            p.add_argument("--k-value", type=float,
+                           help="group-velocity prefactor K; adds a c_over_vg column")
+        if "oracle_check" in _OPTIONS.get(name, {}):
+            p.add_argument("--oracle-check", action="store_true", default=None,
+                           help="add a full master-equation comparison column")
+        if name != "dump-liouvillian":
+            p.add_argument("--json", action="store_true",
+                           help="mirror CSV output as JSON row objects")
     return parser
 
 

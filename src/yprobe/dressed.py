@@ -13,31 +13,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from . import linalg
 from .params import ParameterError, SystemParams
 
-SECULAR_LABELS = ("rho11", "rho_pp", "rho_mm", "rho_dd", "rho_1m")
-
 POPULATIONS = ("11", "++", "--", "dd")
-SOURCES = ("11", "++", "--", "dd", "1-", "-1")
 TARGETS = ("11", "++", "--", "dd", "1-")
-
-
-class DressedLabel(str, Enum):
-    D = "d"
-    PLUS = "+"
-    MINUS = "-"
 
 
 @dataclass(frozen=True)
 class DressedState:
-    """Eigenvalue and amplitudes over the bare states (|2>, |3>, |4>)."""
+    """Label ("d", "+" or "-"), eigenvalue and amplitudes over (|2>, |3>, |4>)."""
 
-    label: DressedLabel
+    label: str
     eigenvalue: float
     amplitudes: tuple
 
@@ -55,11 +45,9 @@ def dressed_states(Omega2: float, Omega3: float):
     lam = math.sqrt(s)
     nd = math.sqrt(s)
     npm = math.sqrt(2.0 * s)  # Omega2^2 + lam^2 + Omega3^2 = 2 s
-    d = DressedState(DressedLabel.D, 0.0, (Omega3 / nd, 0.0, -Omega2 / nd))
-    plus = DressedState(DressedLabel.PLUS, lam,
-                        (Omega2 / npm, -lam / npm, Omega3 / npm))
-    minus = DressedState(DressedLabel.MINUS, -lam,
-                         (Omega2 / npm, lam / npm, Omega3 / npm))
+    d = DressedState("d", 0.0, (Omega3 / nd, 0.0, -Omega2 / nd))
+    plus = DressedState("+", lam, (Omega2 / npm, -lam / npm, Omega3 / npm))
+    minus = DressedState("-", -lam, (Omega2 / npm, lam / npm, Omega3 / npm))
     return d, plus, minus
 
 

@@ -5,10 +5,10 @@ The periodically driven solution is expanded into probe harmonics,
     R(t) = R0 + Omega1 * Rp * exp(-i(delta t - Phi))
               + Omega1 * Rm * exp(+i(delta t - Phi)) + O(Omega1^2),
 
-and truncated at first order in the probe.  The harmonic amplitudes follow
-from direct linear solves against the generator pieces; the scaled probe
-susceptibility is gamma2 times the rho13 component of Rp.  All spectra are
-reported against the probe detuning Delta1 = Delta2 + delta - W12.
+and truncated at first order in the probe.  The probe susceptibility is
+gamma2 times the rho13 component of Rp; Rm never enters it and is not
+computed.  All spectra are reported against the probe detuning
+Delta1 = Delta2 + delta - W12.
 """
 
 from __future__ import annotations
@@ -21,77 +21,61 @@ from . import linalg
 from .liouvillian import LiouvillianSet, build_for, hermitian_reconstruct
 from .params import SystemParams, delta_from_delta1
 
-DEFAULT_SLOPE_STEP = 1e-3
-
-
-@dataclass(frozen=True)
-class FloquetSolution:
-    """Zeroth- and first-order harmonic amplitudes at one probe detuning."""
-
-    r0: np.ndarray
-    r_plus: np.ndarray
-    r_minus: np.ndarray
-    delta: float
-
 
 @dataclass(frozen=True)
 class SpectrumPoint:
     delta1: float
     chi: complex
-    slope: float | None = None
-
-
-def solve_floquet(liouv: LiouvillianSet, delta: float) -> FloquetSolution:
-    """First-order probe response of the driven steady state.
-
-    R0 = M0^-1 Sigma;  (M0 +- i delta) R+- = Sigma_+- - M_+- R0, which in
-    the Y system (Sigma_+- = 0) reduces to R+- = -(M0 +- i delta)^-1 M_+- R0.
-    """
-    eye = np.eye(liouv.dim)
-    r0 = linalg.solve(liouv.m0, liouv.sigma)
-    r_plus = linalg.solve(liouv.m0 + 1j * delta * eye,
-                          liouv.sigma1 - liouv.m1 @ r0)
-    r_minus = linalg.solve(liouv.m0 - 1j * delta * eye,
-                           liouv.sigma_minus1 - liouv.m_minus1 @ r0)
-    return FloquetSolution(r0, r_plus, r_minus, delta)
+    slope: float
 
 
 def steady_state(liouv: LiouvillianSet) -> np.ndarray:
-    """Pump-only steady state R0 (probe switched off)."""
+    """Pump-only steady state R0 (probe switched off): M0 R0 = Sigma."""
     return linalg.solve(liouv.m0, liouv.sigma)
 
 
 class ProbeResponse:
-    """Caches the generator and steady state for repeated detuning sweeps."""
+    """The linear-response core: one generator and steady state per parameter set.
+
+    Every susceptibility, dispersion slope and spectrum is read from
+    :meth:`harmonic`, so the generator is built and R0 solved once however
+    many detunings are asked for.
+    """
 
     def __init__(self, params: SystemParams):
         self.params = params
         self.liouv = build_for(params)
         self.r0 = steady_state(self.liouv)
+        self._b = self.liouv.sigma1 - self.liouv.m1 @ self.r0
         self._i13 = self.liouv.index("13")
         self._eye = np.eye(self.liouv.dim)
 
-    def chi(self, delta1: float) -> complex:
-        """Scaled probe susceptibility at probe detuning delta1."""
-        delta = delta_from_delta1(delta1, self.params.Delta2, self.params.W12)
-        r_plus = linalg.solve(self.liouv.m0 + 1j * delta * self._eye,
-                              self.liouv.sigma1 - self.liouv.m1 @ self.r0)
-        return self.params.gamma2 * r_plus[self._i13]
+    def harmonic(self, delta: float) -> tuple[np.ndarray, np.ndarray]:
+        """First-order harmonic Rp at beat detuning delta, and dRp/d delta.
 
-    def slope(self, delta1: float, h: float = DEFAULT_SLOPE_STEP) -> float:
-        """Central-difference dispersion slope d Re(chi)/d Delta1."""
-        if h <= 0:
-            raise ValueError(f"finite-difference step must be positive, got {h}")
-        return (self.chi(delta1 + h).real - self.chi(delta1 - h).real) / (2.0 * h)
+        With A = M0 + i delta and b = Sigma_+ - M_+ R0, Rp = A^-1 b and,
+        since dA^-1/d delta = -i A^-2, dRp/d delta = -i A^-1 Rp exactly.
+        """
+        a = self.liouv.m0 + 1j * delta * self._eye
+        r_plus = linalg.solve(a, self._b)
+        return r_plus, -1j * linalg.solve(a, r_plus)
+
+    def point(self, delta1: float) -> SpectrumPoint:
+        """Susceptibility and dispersion slope d Re(chi)/d Delta1 at delta1."""
+        delta = delta_from_delta1(delta1, self.params.Delta2, self.params.W12)
+        r_plus, d_r_plus = self.harmonic(delta)
+        gamma2 = self.params.gamma2
+        # d delta / d Delta1 = 1, so the delta-derivative is the slope.
+        return SpectrumPoint(float(delta1), complex(gamma2 * r_plus[self._i13]),
+                             float(gamma2 * d_r_plus[self._i13].real))
 
 
 def susceptibility(params: SystemParams, delta1: float) -> complex:
-    return ProbeResponse(params).chi(delta1)
+    return ProbeResponse(params).point(delta1).chi
 
 
-def dispersion_slope(params: SystemParams, delta1: float,
-                     h: float = DEFAULT_SLOPE_STEP) -> float:
-    return ProbeResponse(params).slope(delta1, h)
+def dispersion_slope(params: SystemParams, delta1: float) -> float:
+    return ProbeResponse(params).point(delta1).slope
 
 
 def group_velocity_ratio(slope_normalized: float, K: float) -> float:
@@ -99,17 +83,10 @@ def group_velocity_ratio(slope_normalized: float, K: float) -> float:
     return 1.0 + K * slope_normalized
 
 
-def probe_spectrum(params: SystemParams, delta1_values,
-                   h: float = DEFAULT_SLOPE_STEP,
-                   with_slope: bool = True) -> list[SpectrumPoint]:
-    """Susceptibility (and optionally dispersion slope) over a detuning grid."""
+def probe_spectrum(params: SystemParams, delta1_values) -> list[SpectrumPoint]:
+    """Susceptibility and dispersion slope over a detuning grid."""
     resp = ProbeResponse(params)
-    points = []
-    for d1 in np.asarray(delta1_values, dtype=float):
-        chi = resp.chi(d1)
-        slope = resp.slope(d1, h) if with_slope else None
-        points.append(SpectrumPoint(float(d1), chi, slope))
-    return points
+    return [resp.point(d1) for d1 in np.asarray(delta1_values, dtype=float)]
 
 
 def interference_sweep(params: SystemParams, p_grid) -> list[tuple[float, float]]:
@@ -123,32 +100,14 @@ def interference_sweep(params: SystemParams, p_grid) -> list[tuple[float, float]
     return out
 
 
-def pump_population_sweep(params: SystemParams, delta2_grid) -> list[tuple]:
-    """Steady populations versus pump detuning at two-photon resonance.
+def pump_sweep(params: SystemParams, delta2_grid) -> np.ndarray:
+    """Steady density matrices versus pump detuning at two-photon resonance.
 
     The probe is off (Omega1 = 0) and Delta3 = -Delta2 is enforced pointwise.
-    Returns (Delta2, rho11, rho22, rho33) per grid point.
+    Returns one reconstructed density matrix per grid point, stacked.
     """
     out = []
     for d2 in np.asarray(delta2_grid, dtype=float):
         p = params.with_(Omega1=0.0, Delta2=float(d2), Delta3=float(-d2))
-        liouv = build_for(p)
-        r0 = steady_state(liouv)
-        rho = hermitian_reconstruct(r0)
-        out.append((float(d2), rho[0, 0].real, rho[1, 1].real, rho[2, 2].real))
-    return out
-
-
-def pump_coherence_sweep(params: SystemParams, delta2_grid) -> list[tuple]:
-    """Steady pump coherences rho23 and rho34 versus pump detuning.
-
-    Same conditions as pump_population_sweep; returns (Delta2, rho23, rho34).
-    """
-    out = []
-    for d2 in np.asarray(delta2_grid, dtype=float):
-        p = params.with_(Omega1=0.0, Delta2=float(d2), Delta3=float(-d2))
-        liouv = build_for(p)
-        r0 = steady_state(liouv)
-        out.append((float(d2), complex(r0[liouv.index("23")]),
-                    complex(r0[liouv.index("34")])))
-    return out
+        out.append(hermitian_reconstruct(steady_state(build_for(p))))
+    return np.array(out)

@@ -1,8 +1,8 @@
 """Dense complex linear algebra for the small (8x8 / 15x15) generator systems.
 
-Thin, validated wrappers around LAPACK via scipy: LU with partial pivoting,
-explicit singularity detection, and a matrix-vector product with dimension
-checks.  Matrices and vectors are plain complex numpy arrays.
+A thin, validated wrapper around LAPACK via scipy: LU with partial
+pivoting, explicit singularity detection and a residual check.  Matrices
+and vectors are plain complex numpy arrays.
 """
 
 from __future__ import annotations
@@ -42,15 +42,6 @@ def _as_vector(x) -> np.ndarray:
     if not np.all(np.isfinite(x.view(float))):
         raise ValueError("vector has non-finite entries")
     return x
-
-
-def matvec(a, x) -> np.ndarray:
-    """Matrix-vector product with shape validation."""
-    a = _as_matrix(a)
-    x = _as_vector(x)
-    if a.shape[1] != x.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {x.shape}")
-    return a @ x
 
 
 def solve(a, b) -> np.ndarray:

@@ -10,7 +10,7 @@ with the Floquet solves beyond the generator matrices themselves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,11 +37,13 @@ class TrajectoryConfig:
     Times are in units of 1/gamma2.  demod_delta is the probe-pump
     detuning driving the harmonic phase factors (and later demodulation);
     store_every thins the stored samples without affecting the stepping.
+    initial=None starts from the zero vector of the generator's dimension,
+    i.e. all population in the eliminated ground state.
     """
 
     t_max: float
     dt: float
-    initial: np.ndarray = field(default_factory=lambda: np.zeros(15, dtype=complex))
+    initial: np.ndarray | None = None
     demod_delta: float = 0.0
     store_every: int = 1
 
@@ -62,7 +64,10 @@ def integrate_full(liouv: LiouvillianSet, params: SystemParams,
         raise IntegrationError(
             f"dt = {dt} exceeds the stability bound {dt_max:.3e} for this generator"
         )
-    r = np.asarray(config.initial, dtype=complex)
+    if config.initial is None:
+        r = np.zeros(liouv.dim, dtype=complex)
+    else:
+        r = np.asarray(config.initial, dtype=complex)
     if r.shape != (liouv.dim,):
         raise ValueError(f"initial state must have {liouv.dim} components, got {r.shape}")
 
@@ -130,9 +135,7 @@ def steady_state_by_integration(liouv: LiouvillianSet, params: SystemParams,
     p0 = params.with_(Omega1=0.0)
     if dt is None:
         dt = 0.9 * max_stable_dt(liouv, 0.0)
-    config = TrajectoryConfig(t_max=t_max, dt=dt,
-                              initial=np.zeros(liouv.dim, dtype=complex),
-                              store_every=10 ** 9)
+    config = TrajectoryConfig(t_max=t_max, dt=dt, store_every=10 ** 9)
     _, states = integrate_full(liouv, p0, config)
     return states[-1]
 

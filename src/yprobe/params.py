@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 
-import numpy as np
-
 
 class SystemKind(str, Enum):
     Y_FOUR_LEVEL = "Y_FOUR_LEVEL"
@@ -122,23 +120,3 @@ class SystemParams:
     @classmethod
     def from_json(cls, text: str) -> "SystemParams":
         return cls.from_dict(json.loads(text))
-
-
-@dataclass(frozen=True)
-class ProbeGrid:
-    """Uniform probe-detuning grid, endpoints included."""
-
-    delta1_min: float
-    delta1_max: float
-    n_points: int
-
-    def __post_init__(self):
-        if not self.delta1_min < self.delta1_max:
-            raise ParameterError(
-                f"need delta1_min < delta1_max, got [{self.delta1_min}, {self.delta1_max}]"
-            )
-        if self.n_points < 2:
-            raise ParameterError(f"n_points must be >= 2, got {self.n_points}")
-
-    def values(self) -> np.ndarray:
-        return np.linspace(self.delta1_min, self.delta1_max, self.n_points)

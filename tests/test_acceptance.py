@@ -29,7 +29,7 @@ def report(capsys, number: int, name: str, ok: bool):
 
 
 def test_01_autler_townes_doublet(capsys):
-    pts = floquet.probe_spectrum(FIG2A, GRID, with_slope=False)
+    pts = floquet.probe_spectrum(FIG2A, GRID)
     im = np.array([pt.chi.imag for pt in pts])
     left = GRID[np.argmax(np.where(GRID < 0, im, -np.inf))]
     right = GRID[np.argmax(np.where(GRID > 0, im, -np.inf))]
@@ -39,7 +39,7 @@ def test_01_autler_townes_doublet(capsys):
 
 
 def test_02_gain_doublet_anomalous_dispersion(capsys):
-    pts = floquet.probe_spectrum(FIG2B, GRID, with_slope=False)
+    pts = floquet.probe_spectrum(FIG2B, GRID)
     im = np.array([pt.chi.imag for pt in pts])
     near = lambda c: np.abs(GRID - c) <= 0.05
     centre = im[np.abs(GRID) < 1e-12][0]
@@ -63,25 +63,25 @@ def test_03_interference_crossover(capsys):
 
 def test_04_population_inversion(capsys):
     d2 = np.arange(-10.0, 10.0 + 1e-9, 0.02)
-    rows = np.array(floquet.pump_population_sweep(FIG2B.with_(Omega1=0.0), d2))
-    peak_at_zero = abs(rows[np.argmax(rows[:, 1]), 0]) <= 0.02 + 1e-12
-    at0 = rows[np.abs(rows[:, 0]) < 1e-12][0]
-    inverted = at0[1] - at0[3] > 0.5
-    no_int = np.array(floquet.pump_population_sweep(
-        FIG2A.with_(Omega1=0.0), d2))
-    dark = np.abs(no_int[:, 1]).max() <= 1e-10
+    rhos = floquet.pump_sweep(FIG2B.with_(Omega1=0.0), d2)
+    pops = rhos.diagonal(axis1=1, axis2=2).real
+    peak_at_zero = abs(d2[np.argmax(pops[:, 0])]) <= 0.02 + 1e-12
+    at0 = pops[np.abs(d2) < 1e-12][0]
+    inverted = at0[0] - at0[2] > 0.5
+    no_int = floquet.pump_sweep(FIG2A.with_(Omega1=0.0), d2)
+    dark = np.abs(no_int[:, 0, 0].real).max() <= 1e-10
     report(capsys, 4, "population inversion", peak_at_zero and inverted and dark)
 
 
 def test_05_analytic_pump_coherence(capsys):
     analytic = dressed.pump_coherence_analytic(5.0, 0.01)
     formula_ok = abs(analytic - 0.3219) <= 0.0005
-    ((_, r23, _),) = floquet.pump_coherence_sweep(FIG8, [0.0])
+    r23 = floquet.pump_sweep(FIG8, [0.0])[0, 1, 2]
     agree = abs(r23.real - analytic) <= 0.05 * analytic
     values = []
     for om in (20 / math.sqrt(2), 30 / math.sqrt(2), 50 / math.sqrt(2)):
         p = FIG8.with_(Omega2=om, Omega3=om, W12=-om * math.sqrt(2))
-        values.append(floquet.pump_coherence_sweep(p, [0.0])[0][1].real)
+        values.append(floquet.pump_sweep(p, [0.0])[0, 1, 2].real)
     omega_free = (max(values) - min(values)) / max(values) < 0.02
     report(capsys, 5, "analytic pump coherence", formula_ok and agree and omega_free)
 
@@ -117,7 +117,7 @@ def test_06_oracle_equivalence(capsys):
         times, states = oracle.integrate_full(lv, p, cfg)
         got = oracle.demodulate(times, states[:, lv.index("13")], delta,
                                 p.Phi, p.Omega1, window=30.0)
-        want = floquet.solve_floquet(lv, delta).r_plus[lv.index("13")]
+        want = floquet.ProbeResponse(p).harmonic(delta)[0][lv.index("13")]
         ok &= abs(got - want) <= 0.01 * abs(want)
 
         for state in states[:: len(states) // 20]:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from yprobe.cli import main
 from yprobe.presets import get_preset
 
@@ -129,3 +131,73 @@ class TestOtherCommands:
         assert len(data["labels"]) == 15
         assert len(data["m0"]) == 15 and len(data["m0"][0]) == 15
         assert data["sigma"][8] == [0.0, -get_preset("fig2b").params.Omega3]
+
+
+# One small configuration per subcommand, and the flags each one owns.
+SMALL_RUNS = {
+    "probe-spectrum": ("fig3", {"delta1_min": -1.0, "delta1_max": 1.0, "n_points": 7}),
+    "interference-sweep": ("fig4", {"p_min": 0.0, "p_max": 1.0, "n_points": 7}),
+    "pump-sweeps": ("fig8", {"delta2_min": -1.0, "delta2_max": 1.0, "n_points": 7}),
+    "dressed-evolve": ("fig7", {"t_max": 20.0, "dt": 0.01, "store_every": 10}),
+    "dump-liouvillian": ("fig2b", {}),
+}
+FLAGS = {"--points": ["5"], "--k-value": ["250"], "--oracle-check": [], "--json": []}
+OWN_FLAGS = {
+    "probe-spectrum": {"--points", "--k-value", "--json"},
+    "interference-sweep": {"--points", "--json"},
+    "pump-sweeps": {"--points", "--json"},
+    "dressed-evolve": {"--oracle-check", "--json"},
+    "dump-liouvillian": set(),
+}
+
+
+def write_small_config(path, command):
+    preset, grid = SMALL_RUNS[command]
+    path.write_text(json.dumps({**get_preset(preset).params.to_dict(), **grid}))
+    return path
+
+
+def outputs(directory):
+    return {f.name: f.read_bytes() for f in sorted(directory.iterdir())}
+
+
+class TestConfigRoundTrip:
+    @pytest.mark.parametrize("flag", FLAGS)
+    @pytest.mark.parametrize("command", SMALL_RUNS)
+    def test_every_flag_round_trips(self, tmp_path, command, flag):
+        cfg = write_small_config(tmp_path / "input.json", command)
+        argv = [command, "--config", str(cfg), flag, *FLAGS[flag]]
+        first, second = tmp_path / "first", tmp_path / "second"
+        first.mkdir()
+        second.mkdir()
+        if flag not in OWN_FLAGS[command]:
+            with pytest.raises(SystemExit):
+                run(*argv, "--out", str(first / "out.csv"))
+            return
+        assert run(*argv, "--out", str(first / "out.csv")) == 0
+        # --json chooses the output format only, so it is repeated; every
+        # other flag must come back from the emitted configuration alone.
+        rerun = ["--json"] if flag == "--json" else []
+        assert run(command, "--config", str(first / "out.csv.config.json"), *rerun,
+                   "--out", str(second / "out.csv")) == 0
+        assert outputs(first) == outputs(second)
+
+    def test_flag_overrides_config_file(self, tmp_path):
+        cfg = write_small_config(tmp_path / "input.json", "probe-spectrum")
+        data = json.loads(cfg.read_text())
+        cfg.write_text(json.dumps(dict(data, k_value=100.0, n_points=3)))
+        out = tmp_path / "k.csv"
+        assert run("probe-spectrum", "--config", str(cfg), "--k-value", "250",
+                   "--points", "4", "--out", str(out)) == 0
+        emitted = json.loads((tmp_path / "k.csv.config.json").read_text())
+        assert emitted["k_value"] == 250.0 and emitted["n_points"] == 4
+        row = [float(v) for v in out.read_text().splitlines()[1].split(",")]
+        assert row[4] == 1.0 + 250.0 * row[3]
+
+    def test_oracle_check_must_be_boolean(self, tmp_path, capsys):
+        cfg = write_small_config(tmp_path / "input.json", "dressed-evolve")
+        data = json.loads(cfg.read_text())
+        cfg.write_text(json.dumps(dict(data, oracle_check="false")))
+        assert run("dressed-evolve", "--config", str(cfg),
+                   "--out", str(tmp_path / "e.csv")) == 1
+        assert "oracle_check" in json.loads(capsys.readouterr().err)["message"]

@@ -17,6 +17,7 @@ class TestDressedStates:
         d, plus, minus = dressed.dressed_states(2.0, 2.0)
         assert d.amplitudes == pytest.approx((1 / math.sqrt(2), 0.0, -1 / math.sqrt(2)))
         assert plus.eigenvalue == pytest.approx(2 * math.sqrt(2))
+        assert (d.label, plus.label, minus.label) == ("d", "+", "-")
 
     def test_eigenvalue_splitting(self):
         om = 4 / math.sqrt(2)

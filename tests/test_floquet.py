@@ -6,13 +6,14 @@ import pytest
 from yprobe import floquet
 from yprobe.liouvillian import build_for, build_liouvillian, hermitian_reconstruct
 from yprobe.params import SystemKind, SystemParams
-from yprobe.presets import get_preset
+from yprobe.presets import PRESETS, get_preset
 
 FIG2A = get_preset("fig2a").params
 FIG2B = get_preset("fig2b").params
 FIG3 = get_preset("fig3").params
 FIG5B = get_preset("fig5b").params
 FIG8 = get_preset("fig8").params
+SPECTRUM_PRESETS = [name for name, pr in PRESETS.items() if "delta1_min" in pr.grid]
 
 
 def random_params(rng):
@@ -24,28 +25,36 @@ def random_params(rng):
         Phi=rng.uniform(0.0, 2 * math.pi))
 
 
+def resolvent_slope(p, delta1):
+    """d Re(chi)/d Delta1 = Re(-i gamma2 [G G b]_13), G = (M0 + i delta)^-1 inverted outright."""
+    lv = build_for(p)
+    b = lv.sigma1 - lv.m1 @ np.linalg.solve(lv.m0, lv.sigma)
+    delta = delta1 - p.Delta2 + p.W12
+    g = np.linalg.inv(lv.m0 + 1j * delta * np.eye(lv.dim))
+    return (-1j * p.gamma2 * (g @ g @ b)[lv.index("13")]).real
+
+
 class TestSolveFloquet:
+    """Steady state and first-order harmonic of the response core."""
+
     def test_perpendicular_dipoles_empty_excited_state(self):
-        lv = build_liouvillian(FIG2A)
-        sol = floquet.solve_floquet(lv, 0.5)
-        assert abs(sol.r0[0]) < 1e-12
+        r0 = floquet.ProbeResponse(FIG2A).r0
+        assert abs(r0[0]) < 1e-12
 
     def test_unpumped_atom_has_no_response(self):
         # Omega3 = 0 leaves the atom in the ground state: zero steady vector
         # and zero linear response.
-        lv = build_liouvillian(FIG2A.with_(Omega3=0.0))
-        sol = floquet.solve_floquet(lv, 0.5)
-        assert np.abs(sol.r0).max() < 1e-14
-        assert np.abs(sol.r_plus).max() < 1e-14
-        assert np.abs(sol.r_minus).max() < 1e-14
+        resp = floquet.ProbeResponse(FIG2A.with_(Omega3=0.0))
+        r_plus, _ = resp.harmonic(0.5)
+        assert np.abs(resp.r0).max() < 1e-14
+        assert np.abs(r_plus).max() < 1e-14
 
     def test_steady_state_physical(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
             p = random_params(rng)
             lv = build_for(p)
-            sol = floquet.solve_floquet(lv, rng.uniform(-3, 3))
-            rho = hermitian_reconstruct(sol.r0)
+            rho = hermitian_reconstruct(floquet.steady_state(lv))
             pops = np.diag(rho)
             assert np.abs(pops.imag).max() < 1e-12
             assert np.all(pops.real > -1e-12) and np.all(pops.real < 1 + 1e-12)
@@ -54,8 +63,8 @@ class TestSolveFloquet:
 
     def test_steady_state_satisfies_generator_equation(self):
         lv = build_liouvillian(FIG2B)
-        sol = floquet.solve_floquet(lv, 1.0)
-        assert np.abs(lv.m0 @ sol.r0 - lv.sigma).max() < 1e-10
+        r0 = floquet.steady_state(lv)
+        assert np.abs(lv.m0 @ r0 - lv.sigma).max() < 1e-10
 
 
 class TestSusceptibility:
@@ -75,7 +84,7 @@ class TestSusceptibility:
     def test_near_symmetric_doublet_without_interference(self):
         grid = np.linspace(-10, 10, 401)
         im = np.array([pt.chi.imag for pt in
-                       floquet.probe_spectrum(FIG2A, grid, with_slope=False)])
+                       floquet.probe_spectrum(FIG2A, grid)])
         peak = np.abs(im).max()
         assert np.abs(im - im[::-1]).max() < 0.05 * peak
 
@@ -94,17 +103,38 @@ class TestDispersionSlope:
         s3 = floquet.dispersion_slope(FIG3, 0.0)
         assert s3 < s2b < 0
 
-    def test_central_difference_converges_quadratically(self):
-        s1 = floquet.dispersion_slope(FIG3, 0.3, h=1e-3)
-        s2 = floquet.dispersion_slope(FIG3, 0.3, h=5e-4)
-        s3 = floquet.dispersion_slope(FIG3, 0.3, h=2.5e-4)
-        assert abs(s1 - s2) < 1e-5
-        # halving h shrinks the error fourfold
-        assert (s1 - s2) / (s2 - s3) == pytest.approx(4.0, abs=0.5)
+    @pytest.mark.parametrize("name", SPECTRUM_PRESETS)
+    def test_exact_slope_matches_resolvent_derivative(self, name):
+        p = PRESETS[name].params
+        for delta1 in (-4.0, -0.75, 0.0, 0.3, 0.75, 2.0, 4.0):
+            want = resolvent_slope(p, delta1)
+            assert abs(floquet.dispersion_slope(p, delta1) - want) <= 1e-10 * abs(want)
 
-    def test_rejects_bad_step(self):
-        with pytest.raises(ValueError):
-            floquet.dispersion_slope(FIG3, 0.0, h=0.0)
+    def test_central_difference_converges_quadratically(self):
+        # an outside central difference of chi approaches the exact slope at O(h^2)
+        exact = floquet.dispersion_slope(FIG3, 0.3)
+
+        def err(h):
+            chi = [floquet.susceptibility(FIG3, 0.3 + s).real for s in (h, -h)]
+            return (chi[0] - chi[1]) / (2 * h) - exact
+
+        e1, e2, e3 = err(1e-3), err(5e-4), err(2.5e-4)
+        assert abs(e1) < 1e-5
+        # halving h shrinks the error fourfold
+        assert e1 / e2 == pytest.approx(4.0, abs=0.5)
+        assert e2 / e3 == pytest.approx(4.0, abs=0.5)
+
+    def test_fig3_slope_beside_line_centre(self):
+        # A central difference with h = 1e-3 is 4% off here; Richardson
+        # extrapolation of smaller steps pins the derivative of Re(chi).
+        def fd(h):
+            chi = [floquet.susceptibility(FIG3, 0.75 + s).real for s in (h, -h)]
+            return (chi[0] - chi[1]) / (2 * h)
+
+        richardson = (4 * fd(5e-5) - fd(1e-4)) / 3
+        slope = floquet.dispersion_slope(FIG3, 0.75)
+        assert slope == pytest.approx(richardson, rel=1e-6)
+        assert slope == pytest.approx(resolvent_slope(FIG3, 0.75), rel=1e-10)
 
 
 class TestGroupVelocityRatio:
@@ -130,28 +160,28 @@ class TestSweeps:
             floquet.interference_sweep(FIG3, [1.5])
 
     def test_pump_population_trace(self):
-        rows = floquet.pump_population_sweep(FIG2B, np.linspace(-5, 5, 21))
-        for _, r11, r22, r33 in rows:
+        for rho in floquet.pump_sweep(FIG2B, np.linspace(-5, 5, 21)):
+            r11, r22, r33 = rho.diagonal()[:3].real
             assert 0 <= r11 <= 1 and 0 <= r22 <= 1 and 0 <= r33 <= 1
             assert r11 + r22 + r33 <= 1 + 1e-12
 
     def test_population_inversion_at_resonance(self):
-        ((_, r11, _, r33),) = floquet.pump_population_sweep(FIG2B, [0.0])
-        assert r11 - r33 > 0.5
+        (rho,) = floquet.pump_sweep(FIG2B, [0.0])
+        assert rho[0, 0].real - rho[2, 2].real > 0.5
 
     def test_no_excited_population_without_interference(self):
-        rows = floquet.pump_population_sweep(FIG2A, np.linspace(-5, 5, 11))
-        assert max(r[1] for r in rows) < 1e-12
+        rhos = floquet.pump_sweep(FIG2A, np.linspace(-5, 5, 11))
+        assert max(rhos[:, 0, 0].real) < 1e-12
 
     def test_pump_coherences_match_between_transitions(self):
-        ((_, r23, r34),) = floquet.pump_coherence_sweep(FIG8, [0.0])
+        (rho,) = floquet.pump_sweep(FIG8, [0.0])
+        r23, r34 = rho[1, 2], rho[2, 3]
         assert r23.real == pytest.approx(r34.real, rel=1e-3)
         assert r23.real == pytest.approx(0.303, abs=0.005)
 
     def test_interference_raises_dispersion_lowers_absorption(self):
-        ((_, r23_int, _),) = floquet.pump_coherence_sweep(FIG8, [0.0])
-        ((_, r23_no, _),) = floquet.pump_coherence_sweep(
-            FIG8.with_(theta_deg=90.0), [0.0])
+        r23_int = floquet.pump_sweep(FIG8, [0.0])[0, 1, 2]
+        r23_no = floquet.pump_sweep(FIG8.with_(theta_deg=90.0), [0.0])[0, 1, 2]
         assert r23_int.real > 2 * r23_no.real
         assert abs(r23_int.imag) < abs(r23_no.imag)
 
@@ -159,7 +189,7 @@ class TestSweeps:
         values = []
         for om in (20 / math.sqrt(2), 30 / math.sqrt(2), 50 / math.sqrt(2)):
             p = FIG8.with_(Omega2=om, Omega3=om, W12=-om * math.sqrt(2))
-            values.append(floquet.pump_coherence_sweep(p, [0.0])[0][1].real)
+            values.append(floquet.pump_sweep(p, [0.0])[0, 1, 2].real)
         assert (max(values) - min(values)) / max(values) < 0.02
 
 
@@ -170,7 +200,3 @@ class TestProbeSpectrum:
         assert pts[0].delta1 == 0.0
         assert isinstance(pts[0].chi, complex)
         assert pts[0].slope is not None
-
-    def test_slope_column_optional(self):
-        pts = floquet.probe_spectrum(FIG2B, [0.5], with_slope=False)
-        assert pts[0].slope is None

@@ -1,29 +1,7 @@
 import numpy as np
 import pytest
 
-from yprobe.linalg import SingularMatrixError, matvec, solve
-
-
-class TestMatvec:
-    def test_identity(self):
-        x = np.array([1.0, 2.0 + 1j, -3.0])
-        assert np.array_equal(matvec(np.eye(3), x), x)
-
-    def test_zero_matrix(self):
-        x = np.array([1.0, 1j])
-        assert np.array_equal(matvec(np.zeros((2, 2)), x), np.zeros(2))
-
-    def test_all_ones(self):
-        out = matvec(np.ones((2, 2)), np.array([1.0, 1j]))
-        assert np.allclose(out, [1 + 1j, 1 + 1j], atol=0)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            matvec(np.eye(3), np.ones(2))
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            matvec(np.array([[np.inf, 0], [0, 1]]), np.ones(2))
+from yprobe.linalg import SingularMatrixError, solve
 
 
 class TestSolve:
@@ -68,3 +46,7 @@ class TestSolve:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
             solve(np.eye(3), np.ones(2))
+
+    def test_rejects_nonfinite(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            solve(np.array([[np.inf, 0], [0, 1]]), np.ones(2))

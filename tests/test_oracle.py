@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from yprobe import floquet, oracle
-from yprobe.liouvillian import build_liouvillian
+from yprobe.liouvillian import build_for, build_liouvillian
 from yprobe.params import SystemParams
 from yprobe.presets import get_preset
 
 FIG2A = get_preset("fig2a").params
 FIG2B = get_preset("fig2b").params
+FIG5C = get_preset("fig5c").params
 
 
 def dark_params(**kw):
@@ -134,5 +135,20 @@ class TestDemodulate:
         times, states = oracle.integrate_full(lv, p, cfg)
         got = oracle.demodulate(times, states[:, lv.index("13")], delta,
                                 p.Phi, p.Omega1, window=30.0)
-        want = floquet.solve_floquet(lv, delta).r_plus[lv.index("13")]
+        want = floquet.ProbeResponse(p).harmonic(delta)[0][lv.index("13")]
+        assert abs(got - want) < 0.01 * abs(want)
+
+    def test_v_system_agrees_with_linear_response_solve(self):
+        # the default initial state must take the 8-component V dimension
+        p = FIG5C.with_(gamma1=0.6)
+        lv = build_for(p)
+        delta = 0.9
+        dt = 0.9 * oracle.max_stable_dt(lv, p.Omega1)
+        cfg = oracle.TrajectoryConfig(t_max=80.0, dt=dt, demod_delta=delta,
+                                      store_every=4)
+        times, states = oracle.integrate_full(lv, p, cfg)
+        assert states.shape[1] == 8 and not states[0].any()
+        got = oracle.demodulate(times, states[:, lv.index("13")], delta,
+                                p.Phi, p.Omega1, window=30.0)
+        want = floquet.ProbeResponse(p).harmonic(delta)[0][lv.index("13")]
         assert abs(got - want) < 0.01 * abs(want)

@@ -6,7 +6,6 @@ import pytest
 
 from yprobe.params import (
     ParameterError,
-    ProbeGrid,
     SystemKind,
     SystemParams,
     delta1_from_delta,
@@ -94,15 +93,3 @@ class TestSystemParams:
     def test_with_override(self):
         p = SystemParams(**self._valid())
         assert p.with_(theta_deg=90.0).gamma12 == pytest.approx(0.0, abs=1e-12)
-
-
-class TestProbeGrid:
-    def test_values_include_endpoints(self):
-        g = ProbeGrid(-10.0, 10.0, 2001)
-        v = g.values()
-        assert v[0] == -10.0 and v[-1] == 10.0 and len(v) == 2001
-
-    @pytest.mark.parametrize("lo,hi,n", [(1.0, 1.0, 5), (2.0, 1.0, 5), (-1.0, 1.0, 1)])
-    def test_invalid_grids(self, lo, hi, n):
-        with pytest.raises(ParameterError):
-            ProbeGrid(lo, hi, n)
