@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -88,8 +89,11 @@ def _resolve_config(args, command: str) -> tuple[SystemParams, dict]:
     missing = set(grid_keys) - set(grid)
     if missing:
         raise ParameterError(f"missing grid fields for {command}: {sorted(missing)}")
-    if "n_points" in grid and grid["n_points"] < 1:
-        raise ParameterError(f"grid must be non-empty, got n_points={grid['n_points']}")
+    for key in ("n_points", "store_every"):
+        value = grid.get(key, 1)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ParameterError(f"{key} must be an integer >= 1 (a non-empty grid), "
+                                 f"got {value!r}")
     if not isinstance(grid.get("oracle_check", False), bool):
         raise ParameterError(
             f"oracle_check must be true or false, got {grid['oracle_check']!r}")
@@ -150,7 +154,7 @@ def cmd_dressed_evolve(args) -> int:
     times, states = dressed.evolve_secular(
         table, dressed.middle_state_dressed_populations(),
         grid["t_max"], grid["dt"])
-    step = int(grid.get("store_every", 1))
+    step = grid["store_every"]
     keep = np.arange(0, len(times), step)
     header = ["t", "rho11", "rho_pp", "rho_mm", "rho_dd", "rho_1m"]
     rows = [[times[k], *states[k]] for k in keep]
@@ -161,8 +165,7 @@ def cmd_dressed_evolve(args) -> int:
         liouv = build_for(params.with_(Omega1=0.0))
         init = np.zeros(liouv.dim, dtype=complex)
         init[liouv.index("33")] = 1.0
-        dt_full = 0.9 * oracle.max_stable_dt(liouv, 0.0)
-        n_per = max(1, int(round(grid["dt"] * step / dt_full)))
+        n_per = math.ceil(grid["dt"] * step / oracle.max_stable_dt(liouv, 0.0))
         cfg = oracle.TrajectoryConfig(t_max=grid["t_max"], dt=grid["dt"] * step / n_per,
                                       initial=init, store_every=n_per)
         t_full, s_full = oracle.integrate_full(liouv, params.with_(Omega1=0.0), cfg)

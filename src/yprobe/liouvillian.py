@@ -1,29 +1,35 @@
-"""Construction of the master-equation generator in harmonic-decomposed form.
+"""The master-equation generator, derived from the Hamiltonian and the decay operators.
 
-The element-wise density-matrix equations are written compactly as
+Each system is stated once in the frame rotating with the pumps: its level
+energies, its pump couplings -Omega(|i><j| + h.c.) and its decay channels.
+The upper levels |1>, |2> decay to |3> through shared vacuum modes, with the
+rate matrix [[gamma1, gamma12], [gamma12, gamma2]] whose cross-damping
+gamma12 = sqrt(gamma1 gamma2) cos(theta) is the interference; in the Y
+system |3> decays on to |4>.  The master equation
 
-    d/dt R + Sigma = M R,
+    d rho/dt = -i[H, rho] + sum_ij Gamma_ij (2 s_i rho s_j^+ - {s_j^+ s_i, rho})
+
+is a matrix L on row-major vec(rho).  Eliminating the ground population by
+the trace, vec(rho) = Q R + e_ground, gives the element equations
+
+    d/dt R + Sigma = M R,    M = L[rows] Q,    Sigma = -L[rows, ground],
     M = M0 + Omega1 * M1 * exp(-i(delta t - Phi))
            + Omega1 * Mm1 * exp(+i(delta t - Phi)),
 
-where R stacks the density-matrix elements with the ground population
-eliminated via the trace condition.  The Y system uses the 15-component
-ordering (rho11, rho22, rho33, rho12, rho13, rho23, rho14, rho24, rho34,
-rho21, rho31, rho32, rho41, rho42, rho43) with rho44 = 1 - rho11 - rho22
-- rho33; the reduced V system (ground state |4> omitted) uses 8 components
-(rho11, rho22, rho12, rho13, rho23, rho21, rho31, rho32) with
-rho33 = 1 - rho11 - rho22.
-
-Only the nine independent equations are written by hand; the conjugate rows
-are generated from them (coefficients conjugated, columns mapped to their
-conjugate elements, probe harmonics exchanged), so Hermiticity holds by
-construction.  Trace elimination can leave constants attached to the probe
-harmonics in the V system, hence Sigma carries one component per harmonic.
+with M1, Mm1 from the probe couplings -|1><3| and -|3><1|.  R is ordered as
+Y_LABELS (rho44 eliminated) or, for the reduced V system without |4>, as
+V_LABELS (rho33 eliminated); there the elimination hits a probe term, so
+Sigma carries one component per harmonic.  M0 and Sigma are linear in the
+rates, splitting, detunings and pump Rabi frequencies: their per-parameter
+pieces are derived once at import, and a build is their weighted sum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,10 +40,6 @@ Y_LABELS = (
     "21", "31", "32", "41", "42", "43",
 )
 V_LABELS = ("11", "22", "12", "13", "23", "21", "31", "32")
-
-
-def _conj_label(label: str) -> str:
-    return label[::-1]
 
 
 @dataclass(frozen=True)
@@ -56,7 +58,7 @@ class LiouvillianSet:
     sigma: np.ndarray
     sigma1: np.ndarray
     sigma_minus1: np.ndarray
-    labels: tuple = Y_LABELS
+    labels: tuple
 
     @property
     def dim(self) -> int:
@@ -75,174 +77,111 @@ class LiouvillianSet:
         return self.sigma + omega1 * (self.sigma1 * e_minus + self.sigma_minus1 / e_minus)
 
     def to_jsonable(self) -> dict:
-        def mat(a):
-            return [[[float(z.real), float(z.imag)] for z in row] for row in a]
-
-        def vec(v):
-            return [[float(z.real), float(z.imag)] for z in v]
-
-        return {
-            "labels": list(self.labels),
-            "m0": mat(self.m0),
-            "m1": mat(self.m1),
-            "m_minus1": mat(self.m_minus1),
-            "sigma": vec(self.sigma),
-            "sigma1": vec(self.sigma1),
-            "sigma_minus1": vec(self.sigma_minus1),
-        }
+        out = {"labels": list(self.labels)}
+        for name in ("m0", "m1", "m_minus1", "sigma", "sigma1", "sigma_minus1"):
+            a = getattr(self, name)
+            out[name] = np.stack([a.real, a.imag], axis=-1).tolist()
+        return out
 
 
-@dataclass
-class _Row:
-    """One equation d rho_label/dt = sum(coeffs * elements) + constants."""
-
-    m0: dict = field(default_factory=dict)
-    m1: dict = field(default_factory=dict)
-    mm1: dict = field(default_factory=dict)
-    const0: complex = 0.0
-    const1: complex = 0.0
-    constm1: complex = 0.0
-
-    def conjugate(self) -> "_Row":
-        # Conjugating the equation maps rho_kl -> rho_lk and exchanges the
-        # probe phase factors, so m1 and mm1 swap.
-        def cmap(d):
-            return {_conj_label(k): np.conj(v) for k, v in d.items()}
-
-        return _Row(
-            m0=cmap(self.m0),
-            m1=cmap(self.mm1),
-            mm1=cmap(self.m1),
-            const0=np.conj(self.const0),
-            const1=np.conj(self.constm1),
-            constm1=np.conj(self.const1),
-        )
+def _ket_bra(size: int, i: int, j: int) -> np.ndarray:
+    """|i><j| on levels numbered from 1."""
+    op = np.zeros((size, size), dtype=complex)
+    op[i - 1, j - 1] = 1.0
+    return op
 
 
-def _y_primary_rows(p: SystemParams) -> dict:
-    g1, g2, g3, g12 = p.gamma1, p.gamma2, p.gamma3, p.gamma12
-    O2, O3 = p.Omega2, p.Omega3
-    D2, D3, W = p.Delta2, p.Delta3, p.W12
-
-    rows = {}
-    rows["11"] = _Row(
-        m0={"11": -2 * g1, "12": -g12, "21": -g12},
-        m1={"31": 1j}, mm1={"13": -1j},
-    )
-    rows["22"] = _Row(
-        m0={"22": -2 * g2, "12": -g12, "21": -g12, "32": 1j * O2, "23": -1j * O2},
-    )
-    rows["33"] = _Row(
-        m0={"11": 2 * g1, "22": 2 * g2, "33": -2 * g3, "12": 2 * g12, "21": 2 * g12,
-            "23": 1j * O2, "32": -1j * O2, "43": 1j * O3, "34": -1j * O3},
-        m1={"31": -1j}, mm1={"13": 1j},
-    )
-    rows["12"] = _Row(
-        m0={"12": -(g1 + g2 + 1j * W), "11": -g12, "22": -g12, "13": -1j * O2},
-        m1={"32": 1j},
-    )
-    rows["13"] = _Row(
-        m0={"13": -(g1 + g3 + 1j * (W - D2)), "23": -g12, "12": -1j * O2, "14": -1j * O3},
-        m1={"33": 1j, "11": -1j},
-    )
-    rows["23"] = _Row(
-        m0={"23": -(g2 + g3 - 1j * D2), "13": -g12, "33": 1j * O2, "22": -1j * O2,
-            "24": -1j * O3},
-        m1={"21": -1j},
-    )
-    rows["14"] = _Row(
-        m0={"14": -(g1 + 1j * (W - D2 - D3)), "24": -g12, "13": -1j * O3},
-        m1={"34": 1j},
-    )
-    rows["24"] = _Row(
-        m0={"24": -(g2 - 1j * (D2 + D3)), "14": -g12, "34": 1j * O2, "23": -1j * O3},
-    )
-    # rho44 eliminated: i*O3*(rho44 - rho33) = i*O3*(1 - rho11 - rho22 - 2*rho33)
-    rows["34"] = _Row(
-        m0={"34": -(g3 - 1j * D3), "24": 1j * O2,
-            "11": -1j * O3, "22": -1j * O3, "33": -2j * O3},
-        mm1={"14": 1j},
-        const0=1j * O3,
-    )
-    return rows
+def _superoperator(h: np.ndarray, jumps) -> np.ndarray:
+    """Row-major vec(rho) matrix of -i[h, rho] + sum_(a, b) (2 a rho b^+ - {b^+ a, rho})."""
+    eye = np.eye(len(h))
+    out = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for a, b in jumps:
+        ba = b.conj().T @ a
+        out += 2 * np.kron(a, b.conj()) - np.kron(ba, eye) - np.kron(eye, ba.T)
+    return out
 
 
-def _v_primary_rows(p: SystemParams) -> dict:
-    g1, g2, g12 = p.gamma1, p.gamma2, p.gamma12
-    O2 = p.Omega2
-    D2, W = p.Delta2, p.W12
-
-    rows = {}
-    rows["11"] = _Row(
-        m0={"11": -2 * g1, "12": -g12, "21": -g12},
-        m1={"31": 1j}, mm1={"13": -1j},
-    )
-    rows["22"] = _Row(
-        m0={"22": -2 * g2, "12": -g12, "21": -g12, "32": 1j * O2, "23": -1j * O2},
-    )
-    rows["12"] = _Row(
-        m0={"12": -(g1 + g2 + 1j * W), "11": -g12, "22": -g12, "13": -1j * O2},
-        m1={"32": 1j},
-    )
-    # rho33 eliminated: i*(rho33 - rho11) -> i*(1 - 2*rho11 - rho22) on the
-    # probe harmonic, leaving a probe-locked constant.
-    rows["13"] = _Row(
-        m0={"13": -(g1 + 1j * (W - D2)), "23": -g12, "12": -1j * O2},
-        m1={"11": -2j, "22": -1j},
-        const1=1j,
-    )
-    # i*O2*(rho33 - rho22) -> i*O2*(1 - rho11 - 2*rho22)
-    rows["23"] = _Row(
-        m0={"23": -(g2 - 1j * D2), "13": -g12, "11": -1j * O2, "22": -2j * O2},
-        m1={"21": -1j},
-        const0=1j * O2,
-    )
-    return rows
+def _cross_damped(s1, s2, g1, g2, g12):
+    """Jump pairs of two channels with rate matrix [[g1, g12], [g12, g2]]."""
+    return [(g1 * s1, s1), (g12 * s1, s2), (g12 * s2, s1), (g2 * s2, s2)]
 
 
-def _assemble(rows: dict, labels: tuple) -> LiouvillianSet:
-    # Generate conjugate rows for every off-diagonal primary equation.
-    for label in list(rows):
-        if label != _conj_label(label):
-            rows[_conj_label(label)] = rows[label].conjugate()
+def _y_generator(g1, g2, g3, g12, W, D2, D3, O2, O3):
+    k = partial(_ket_bra, 4)
+    h = (np.diag([W - D2 - D3, -D2 - D3, -D3, 0.0])
+         - O2 * (k(2, 3) + k(3, 2)) - O3 * (k(3, 4) + k(4, 3)))
+    jumps = _cross_damped(k(3, 1), k(3, 2), g1, g2, g12) + [(g3 * k(4, 3), k(4, 3))]
+    return _superoperator(h, jumps)
 
-    n = len(labels)
-    idx = {label: k for k, label in enumerate(labels)}
-    m0 = np.zeros((n, n), dtype=complex)
-    m1 = np.zeros((n, n), dtype=complex)
-    mm1 = np.zeros((n, n), dtype=complex)
-    sigma = np.zeros(n, dtype=complex)
-    sigma1 = np.zeros(n, dtype=complex)
-    sigmam1 = np.zeros(n, dtype=complex)
 
-    for label, row in rows.items():
-        i = idx[label]
-        for col, c in row.m0.items():
-            m0[i, idx[col]] += c
-        for col, c in row.m1.items():
-            m1[i, idx[col]] += c
-        for col, c in row.mm1.items():
-            mm1[i, idx[col]] += c
-        # d/dt R + Sigma = M R puts constants on the left with flipped sign.
-        sigma[i] = -row.const0
-        sigma1[i] = -row.const1
-        sigmam1[i] = -row.constm1
+def _v_generator(g1, g2, g12, W, D2, O2):
+    k = partial(_ket_bra, 3)
+    h = np.diag([W - D2, -D2, 0.0]) - O2 * (k(2, 3) + k(3, 2))
+    return _superoperator(h, _cross_damped(k(3, 1), k(3, 2), g1, g2, g12))
 
-    return LiouvillianSet(m0, m1, mm1, sigma, sigma1, sigmam1, labels)
+
+class _System(NamedTuple):
+    """Element ordering and generator pieces of one system.
+
+    pieces[j] is M0 per unit of names[j] with Sigma appended as a last row;
+    probe holds M1 and Mm1 stacked the same way on Sigma1 and Sigma-1.
+    """
+
+    labels: tuple
+    names: tuple
+    size: int
+    rows: np.ndarray
+    pieces: np.ndarray
+    probe: tuple
+
+
+def _derive(labels: tuple, names: tuple, generator) -> _System:
+    """Project the generator onto labels, with the last level as the ground state."""
+    size = math.isqrt(len(labels) + 1)
+    rows = np.array([size * (int(a) - 1) + int(b) - 1 for a, b in labels])
+    ground = size * size - 1
+    q = np.zeros((size * size, len(labels)))
+    q[rows, np.arange(len(labels))] = 1.0
+    q[ground, [k for k, (a, b) in enumerate(labels) if a == b]] = -1.0
+
+    def project(lv):
+        return np.vstack([lv[rows] @ q, -lv[rows, ground]])
+
+    pieces = np.array([project(generator(*unit)) for unit in np.eye(len(names))])
+    probe = tuple(project(_superoperator(-_ket_bra(size, i, j), []))
+                  for i, j in ((1, 3), (3, 1)))
+    return _System(labels, names, size, rows, pieces, probe)
+
+
+_Y = _derive(Y_LABELS, ("gamma1", "gamma2", "gamma3", "gamma12", "W12",
+                        "Delta2", "Delta3", "Omega2", "Omega3"), _y_generator)
+_V = _derive(V_LABELS, ("gamma1", "gamma2", "gamma12", "W12", "Delta2", "Omega2"),
+             _v_generator)
+
+
+def _assemble(system: _System, params: SystemParams) -> LiouvillianSet:
+    # Each product is exact (the pieces hold small integers) and the sum runs
+    # in the fixed order of names, so (W - D2) - D3 rounds as written.
+    acc = np.zeros(system.pieces.shape[1:], dtype=complex)
+    for name, piece in zip(system.names, system.pieces):
+        acc += getattr(params, name) * piece
+    plus, minus = (np.array(p) for p in system.probe)
+    return LiouvillianSet(acc[:-1], plus[:-1], minus[:-1],
+                          acc[-1], plus[-1], minus[-1], system.labels)
 
 
 def build_liouvillian(params: SystemParams) -> LiouvillianSet:
     """15-dimensional generator of the full four-level Y system."""
     if params.system_kind is not SystemKind.Y_FOUR_LEVEL:
         raise ParameterError(f"expected Y_FOUR_LEVEL params, got {params.system_kind}")
-    return _assemble(_y_primary_rows(params), Y_LABELS)
+    return _assemble(_Y, params)
 
 
 def build_v_liouvillian(params: SystemParams) -> LiouvillianSet:
     """8-dimensional generator of the reduced three-level V system."""
     if params.system_kind is not SystemKind.V_THREE_LEVEL:
         raise ParameterError(f"expected V_THREE_LEVEL params, got {params.system_kind}")
-    return _assemble(_v_primary_rows(params), V_LABELS)
+    return _assemble(_V, params)
 
 
 def build_for(params: SystemParams) -> LiouvillianSet:
@@ -259,16 +198,11 @@ def hermitian_reconstruct(v: np.ndarray) -> np.ndarray:
     the 3x3 V-system matrix (rho33 restored).
     """
     v = np.asarray(v, dtype=complex)
-    if v.shape == (15,):
-        labels, size = Y_LABELS, 4
-    elif v.shape == (8,):
-        labels, size = V_LABELS, 3
-    else:
+    system = {(15,): _Y, (8,): _V}.get(v.shape)
+    if system is None:
         raise ValueError(f"expected a 15- or 8-component vector, got shape {v.shape}")
-
-    rho = np.zeros((size, size), dtype=complex)
-    for label, value in zip(labels, v):
-        i, j = int(label[0]) - 1, int(label[1]) - 1
-        rho[i, j] = value
-    rho[size - 1, size - 1] = 1.0 - np.trace(rho)
+    rho = np.zeros(system.size ** 2, dtype=complex)
+    rho[system.rows] = v
+    rho = rho.reshape(system.size, system.size)
+    rho[-1, -1] = 1.0 - np.trace(rho)
     return rho

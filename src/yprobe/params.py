@@ -85,6 +85,9 @@ class SystemParams:
     def __post_init__(self):
         if isinstance(self.system_kind, str):
             object.__setattr__(self, "system_kind", SystemKind(self.system_kind))
+        for name in (f.name for f in fields(self) if f.type == "float"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("gamma1", "gamma2", "gamma3"):
             if getattr(self, name) <= 0:
                 raise ParameterError(f"{name} must be positive, got {getattr(self, name)}")
@@ -93,9 +96,6 @@ class SystemParams:
                 raise ParameterError(f"{name} must be non-negative, got {getattr(self, name)}")
         if not 0.0 <= self.theta_deg <= 90.0:
             raise ParameterError(f"theta_deg must lie in [0, 90], got {self.theta_deg}")
-        for name in ("W12", "Delta2", "Delta3", "Phi"):
-            if not math.isfinite(getattr(self, name)):
-                raise ParameterError(f"{name} must be finite")
 
     @property
     def gamma12(self) -> float:

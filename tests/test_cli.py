@@ -85,6 +85,22 @@ class TestErrorHandling:
         assert "W12" in json.loads(capsys.readouterr().err)["message"]
 
 
+    @pytest.mark.parametrize("command,key,value", [
+        ("dressed-evolve", "store_every", 0),
+        ("dressed-evolve", "store_every", -3),
+        ("dressed-evolve", "store_every", 2.5),
+        ("probe-spectrum", "n_points", 2.5),
+        ("probe-spectrum", "n_points", True),
+    ])
+    def test_integer_grid_fields(self, tmp_path, capsys, command, key, value):
+        cfg = write_small_config(tmp_path / "input.json", command)
+        cfg.write_text(json.dumps(dict(json.loads(cfg.read_text()), **{key: value})))
+        assert run(command, "--config", str(cfg), "--out", str(tmp_path / "x.csv")) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ParameterError"
+        assert key in record["message"]
+
+
 class TestOtherCommands:
     def test_interference_sweep(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -122,6 +138,17 @@ class TestOtherCommands:
         # secular and full trajectories track each other on the way up too
         last = lines[-1].split(",")
         assert abs(float(last[1]) - float(last[-1])) < 0.1
+
+    def test_oracle_check_keeps_its_step_within_the_stability_bound(self, tmp_path):
+        # dt is 1.26x the oracle's stability bound: two substeps per sample are
+        # needed, and a rounded count would give one
+        cfg = tmp_path / "evolve.json"
+        cfg.write_text(json.dumps(dict(get_preset("fig7").params.to_dict(),
+                                       t_max=1.0, dt=0.00445, store_every=1)))
+        out = tmp_path / "evolve.csv"
+        assert run("dressed-evolve", "--config", str(cfg), "--oracle-check",
+                   "--out", str(out)) == 0
+        assert out.read_text().splitlines()[0].endswith(",rho11_full")
 
     def test_dump_liouvillian(self, tmp_path):
         out = tmp_path / "lv.json"

@@ -137,6 +137,78 @@ class TestVBuilder:
         assert not lv.m0[others, i].any()
 
 
+def direct_rhs(p, delta, t, rho):
+    """d rho/dt of the master equation by plain 4x4 (3x3) matrix products.
+
+    -i[H(t), rho] with the pumps, the probe and its phase written out, plus
+    the dissipator of the cross-damped pair |1>, |2> -> |3> (and |3> -> |4>
+    in Y); no vectorisation and no eliminated element.
+    """
+    n = rho.shape[0]
+    e = np.eye(n)
+
+    def ket_bra(i, j):
+        return np.outer(e[i - 1], e[j - 1])
+
+    if n == 4:
+        energies = [p.W12 - p.Delta2 - p.Delta3, -p.Delta2 - p.Delta3, -p.Delta3, 0.0]
+    else:
+        energies = [p.W12 - p.Delta2, -p.Delta2, 0.0]
+    phase = np.exp(-1j * (delta * t - p.Phi))
+    h = (np.diag(energies) - p.Omega2 * (ket_bra(2, 3) + ket_bra(3, 2))
+         - p.Omega1 * (phase * ket_bra(1, 3) + np.conj(phase) * ket_bra(3, 1)))
+    if n == 4:
+        h -= p.Omega3 * (ket_bra(3, 4) + ket_bra(4, 3))
+    out = -1j * (h @ rho - rho @ h)
+    s = {1: ket_bra(3, 1), 2: ket_bra(3, 2)}
+    rates = {(1, 1): p.gamma1, (2, 2): p.gamma2, (1, 2): p.gamma12, (2, 1): p.gamma12}
+    if n == 4:
+        s[3] = ket_bra(4, 3)
+        rates[3, 3] = p.gamma3
+    for (i, j), g in rates.items():
+        si, sj = s[i], s[j].conj().T
+        out += g * (2 * si @ rho @ sj - sj @ si @ rho - rho @ sj @ si)
+    return out
+
+
+def random_params(rng, kind):
+    return SystemParams(
+        gamma1=rng.uniform(0.1, 3), gamma2=rng.uniform(0.1, 3), gamma3=rng.uniform(0.1, 3),
+        theta_deg=rng.uniform(1, 89), W12=rng.normal(0, 3), Omega1=rng.uniform(0.1, 1),
+        Omega2=rng.uniform(0.5, 5), Omega3=rng.uniform(0.5, 5),
+        Delta2=rng.choice([-1, 1]) * rng.uniform(0.1, 3),
+        Delta3=rng.choice([-1, 1]) * rng.uniform(0.1, 3),
+        Phi=rng.uniform(0.1, 3), system_kind=kind)
+
+
+class TestGeneratorFromMasterEquation:
+    @pytest.mark.parametrize("kind", list(SystemKind))
+    def test_matches_direct_matrix_products(self, kind):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            p = random_params(rng, kind)
+            lv = build_for(p)
+            delta, t = rng.normal(0, 3), rng.uniform(0, 10)
+            v = random_hermitian_vector(rng, lv.labels)
+            rho = hermitian_reconstruct(v)
+            deriv = (lv.m_at(p.Omega1, delta, p.Phi, t) @ v
+                     - lv.sigma_at(p.Omega1, delta, p.Phi, t))
+            got = hermitian_reconstruct(deriv)
+            got[-1, -1] -= 1.0   # d rho/dt has trace 0, not 1
+            assert np.abs(got - direct_rhs(p, delta, t, rho)).max() <= 1e-12
+
+    @pytest.mark.parametrize("params", [y_params(), v_params()], ids=["Y", "V"])
+    def test_builds_share_no_arrays(self, params):
+        names = ("m0", "m1", "m_minus1", "sigma", "sigma1", "sigma_minus1")
+        reference = {name: getattr(build_for(params), name).copy() for name in names}
+        mutated = build_for(params)
+        for name in names:
+            getattr(mutated, name)[...] += 1.0
+        again = build_for(params)
+        for name in names:
+            assert np.array_equal(getattr(again, name), reference[name])
+
+
 class TestHermitianReconstruct:
     def test_zero_vector_gives_pure_ground_state(self):
         rho = hermitian_reconstruct(np.zeros(15))

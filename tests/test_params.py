@@ -81,6 +81,13 @@ class TestSystemParams:
         with pytest.raises(ParameterError):
             SystemParams(**self._valid(Omega2=-1.0))
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["gamma1", "gamma3", "theta_deg", "Omega1",
+                                      "Omega3", "W12"])
+    def test_rejects_nonfinite(self, name, value):
+        with pytest.raises(ParameterError, match=f"{name} must be finite"):
+            SystemParams(**self._valid(**{name: value}))
+
     def test_rejects_unknown_keys(self):
         with pytest.raises(ParameterError, match="unknown parameter"):
             SystemParams.from_dict(self._valid(gamma4=1.0))
