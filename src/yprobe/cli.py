@@ -89,11 +89,17 @@ def _resolve_config(args, command: str) -> tuple[SystemParams, dict]:
     missing = set(grid_keys) - set(grid)
     if missing:
         raise ParameterError(f"missing grid fields for {command}: {sorted(missing)}")
-    for key in ("n_points", "store_every"):
-        value = grid.get(key, 1)
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ParameterError(f"{key} must be an integer >= 1 (a non-empty grid), "
-                                 f"got {value!r}")
+    for key in grid_keys:
+        value = grid[key]
+        if key in ("n_points", "store_every"):
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ParameterError(f"{key} must be an integer >= 1 (a non-empty grid), "
+                                     f"got {value!r}")
+        elif (isinstance(value, bool) or not isinstance(value, (int, float))
+              or not math.isfinite(value)):
+            raise ParameterError(f"{key} must be a finite number, got {value!r}")
+        elif key in ("t_max", "dt") and value <= 0:
+            raise ParameterError(f"{key} must be > 0, got {value!r}")
     if not isinstance(grid.get("oracle_check", False), bool):
         raise ParameterError(
             f"oracle_check must be true or false, got {grid['oracle_check']!r}")

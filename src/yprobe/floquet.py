@@ -18,8 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .liouvillian import LiouvillianSet, build_for, hermitian_reconstruct
+from .liouvillian import LiouvillianSet, build_for, build_stack, hermitian_reconstruct
 from .params import SystemParams, delta_from_delta1
+
+# Grid points per stacked solve.  One block's matrices take about 0.5 MB
+# (15x15); stacking a whole grid at once would grow the working set with it.
+_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -30,8 +34,30 @@ class SpectrumPoint:
 
 
 def steady_state(liouv: LiouvillianSet) -> np.ndarray:
-    """Pump-only steady state R0 (probe switched off): M0 R0 = Sigma."""
+    """Pump-only steady state R0 (probe switched off): M0 R0 = Sigma.
+
+    A stacked liouv (from build_stack) gives one R0 per parameter set.
+    """
     return linalg.solve(liouv.m0, liouv.sigma)
+
+
+def _blocks(values) -> list:
+    """A 1-d grid cut into consecutive blocks of at most _BLOCK points."""
+    values = np.asarray(values, dtype=float)
+    return [values[i:i + _BLOCK] for i in range(0, len(values), _BLOCK)]
+
+
+def _harmonic(liouv: LiouvillianSet, r0: np.ndarray, delta) -> tuple:
+    """Rp and dRp/d delta of a generator (or a stack) with steady state r0.
+
+    With A = M0 + i delta and b = Sigma_+ - M_+ R0, Rp = A^-1 b and,
+    since dA^-1/d delta = -i A^-2, dRp/d delta = -i A^-1 Rp exactly.
+    delta is a scalar or an array broadcast against the stack of M0.
+    """
+    b = liouv.sigma1 - (liouv.m1 @ r0[..., None])[..., 0]
+    a = liouv.m0 + (1j * np.asarray(delta, dtype=float))[..., None, None] * np.eye(liouv.dim)
+    r_plus = linalg.solve(a, b)
+    return r_plus, -1j * linalg.solve(a, r_plus)
 
 
 class ProbeResponse:
@@ -46,28 +72,29 @@ class ProbeResponse:
         self.params = params
         self.liouv = build_for(params)
         self.r0 = steady_state(self.liouv)
-        self._b = self.liouv.sigma1 - self.liouv.m1 @ self.r0
         self._i13 = self.liouv.index("13")
-        self._eye = np.eye(self.liouv.dim)
 
-    def harmonic(self, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    def harmonic(self, delta) -> tuple[np.ndarray, np.ndarray]:
         """First-order harmonic Rp at beat detuning delta, and dRp/d delta.
 
-        With A = M0 + i delta and b = Sigma_+ - M_+ R0, Rp = A^-1 b and,
-        since dA^-1/d delta = -i A^-2, dRp/d delta = -i A^-1 Rp exactly.
+        delta is a scalar, or an array whose shape leads the returned
+        stacks; all its detunings are solved in one stacked call.
         """
-        a = self.liouv.m0 + 1j * delta * self._eye
-        r_plus = linalg.solve(a, self._b)
-        return r_plus, -1j * linalg.solve(a, r_plus)
+        return _harmonic(self.liouv, self.r0, delta)
 
-    def point(self, delta1: float) -> SpectrumPoint:
-        """Susceptibility and dispersion slope d Re(chi)/d Delta1 at delta1."""
-        delta = delta_from_delta1(delta1, self.params.Delta2, self.params.W12)
+    def _response(self, delta1):
+        """Susceptibility and dispersion slope d Re(chi)/d Delta1 at delta1 (scalar or array)."""
+        delta = delta_from_delta1(np.asarray(delta1, dtype=float),
+                                  self.params.Delta2, self.params.W12)
         r_plus, d_r_plus = self.harmonic(delta)
         gamma2 = self.params.gamma2
         # d delta / d Delta1 = 1, so the delta-derivative is the slope.
-        return SpectrumPoint(float(delta1), complex(gamma2 * r_plus[self._i13]),
-                             float(gamma2 * d_r_plus[self._i13].real))
+        return gamma2 * r_plus[..., self._i13], gamma2 * d_r_plus[..., self._i13].real
+
+    def point(self, delta1: float) -> SpectrumPoint:
+        """Susceptibility and dispersion slope at one detuning."""
+        chi, slope = self._response(delta1)
+        return SpectrumPoint(float(delta1), complex(chi), float(slope))
 
 
 def susceptibility(params: SystemParams, delta1: float) -> complex:
@@ -84,19 +111,29 @@ def group_velocity_ratio(slope_normalized: float, K: float) -> float:
 
 
 def probe_spectrum(params: SystemParams, delta1_values) -> list[SpectrumPoint]:
-    """Susceptibility and dispersion slope over a detuning grid."""
+    """Susceptibility and dispersion slope over a detuning grid, one block per stacked solve."""
     resp = ProbeResponse(params)
-    return [resp.point(d1) for d1 in np.asarray(delta1_values, dtype=float)]
+    out = []
+    for block in _blocks(delta1_values):
+        chi, slope = resp._response(block)
+        out += map(SpectrumPoint, block.tolist(), chi.tolist(), slope.tolist())
+    return out
 
 
 def interference_sweep(params: SystemParams, p_grid) -> list[tuple[float, float]]:
     """Dispersion slope at line centre versus interference strength p = cos(theta)."""
+    delta = delta_from_delta1(0.0, params.Delta2, params.W12)
     out = []
-    for p in np.asarray(p_grid, dtype=float):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"interference parameter p must lie in [0, 1], got {p}")
-        theta = float(np.degrees(np.arccos(p)))
-        out.append((float(p), dispersion_slope(params.with_(theta_deg=theta), 0.0)))
+    for block in _blocks(p_grid):
+        stack = []
+        for p in block:
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"interference parameter p must lie in [0, 1], got {p}")
+            stack.append(params.with_(theta_deg=float(np.degrees(np.arccos(p)))))
+        liouv = build_stack(stack)
+        _, d_r_plus = _harmonic(liouv, steady_state(liouv), delta)
+        slope = params.gamma2 * d_r_plus[:, liouv.index("13")].real
+        out += zip(block.tolist(), slope.tolist())
     return out
 
 
@@ -107,7 +144,8 @@ def pump_sweep(params: SystemParams, delta2_grid) -> np.ndarray:
     Returns one reconstructed density matrix per grid point, stacked.
     """
     out = []
-    for d2 in np.asarray(delta2_grid, dtype=float):
-        p = params.with_(Omega1=0.0, Delta2=float(d2), Delta3=float(-d2))
-        out.append(hermitian_reconstruct(steady_state(build_for(p))))
-    return np.array(out)
+    for block in _blocks(delta2_grid):
+        liouv = build_stack(params.with_(Omega1=0.0, Delta2=d2, Delta3=-d2)
+                            for d2 in block.tolist())
+        out.append(hermitian_reconstruct(steady_state(liouv)))
+    return np.concatenate(out) if out else np.array([])

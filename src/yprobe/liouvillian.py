@@ -62,7 +62,7 @@ class LiouvillianSet:
 
     @property
     def dim(self) -> int:
-        return self.m0.shape[0]
+        return self.m0.shape[-1]
 
     def index(self, label: str) -> int:
         return self.labels.index(label)
@@ -159,29 +159,34 @@ _V = _derive(V_LABELS, ("gamma1", "gamma2", "gamma12", "W12", "Delta2", "Omega2"
              _v_generator)
 
 
-def _assemble(system: _System, params: SystemParams) -> LiouvillianSet:
+def _weights(system: _System, params: SystemParams) -> np.ndarray:
+    return np.array([getattr(params, name) for name in system.names])
+
+
+def _assemble(system: _System, weights: np.ndarray) -> LiouvillianSet:
+    """The generator at weights (one value per name), or a stack of them for (k, names)."""
     # Each product is exact (the pieces hold small integers) and the sum runs
     # in the fixed order of names, so (W - D2) - D3 rounds as written.
-    acc = np.zeros(system.pieces.shape[1:], dtype=complex)
-    for name, piece in zip(system.names, system.pieces):
-        acc += getattr(params, name) * piece
+    acc = np.zeros(weights.shape[:-1] + system.pieces.shape[1:], dtype=complex)
+    for w, piece in zip(np.moveaxis(weights, -1, 0), system.pieces):
+        acc += w[..., None, None] * piece
     plus, minus = (np.array(p) for p in system.probe)
-    return LiouvillianSet(acc[:-1], plus[:-1], minus[:-1],
-                          acc[-1], plus[-1], minus[-1], system.labels)
+    return LiouvillianSet(acc[..., :-1, :], plus[:-1], minus[:-1],
+                          acc[..., -1, :], plus[-1], minus[-1], system.labels)
 
 
 def build_liouvillian(params: SystemParams) -> LiouvillianSet:
     """15-dimensional generator of the full four-level Y system."""
     if params.system_kind is not SystemKind.Y_FOUR_LEVEL:
         raise ParameterError(f"expected Y_FOUR_LEVEL params, got {params.system_kind}")
-    return _assemble(_Y, params)
+    return _assemble(_Y, _weights(_Y, params))
 
 
 def build_v_liouvillian(params: SystemParams) -> LiouvillianSet:
     """8-dimensional generator of the reduced three-level V system."""
     if params.system_kind is not SystemKind.V_THREE_LEVEL:
         raise ParameterError(f"expected V_THREE_LEVEL params, got {params.system_kind}")
-    return _assemble(_V, params)
+    return _assemble(_V, _weights(_V, params))
 
 
 def build_for(params: SystemParams) -> LiouvillianSet:
@@ -190,19 +195,35 @@ def build_for(params: SystemParams) -> LiouvillianSet:
     return build_v_liouvillian(params)
 
 
+def build_stack(params_seq) -> LiouvillianSet:
+    """Generators of a sequence of parameter sets of one system, built at once.
+
+    m0 and sigma gain a leading axis with one entry per parameter set, each
+    bit-equal to build_for(p); the probe pieces depend on no parameter and
+    are shared by the whole stack.
+    """
+    params_seq = list(params_seq)
+    kinds = {p.system_kind for p in params_seq}
+    if len(kinds) != 1:
+        raise ParameterError(
+            f"expected parameter sets of one system kind, got {sorted(kinds)}")
+    system = _Y if kinds.pop() is SystemKind.Y_FOUR_LEVEL else _V
+    return _assemble(system, np.array([_weights(system, p) for p in params_seq]))
+
+
 def hermitian_reconstruct(v: np.ndarray) -> np.ndarray:
-    """Rebuild the full density matrix from a stacked element vector.
+    """Rebuild the full density matrix from an element vector, or a stack of them.
 
     The eliminated population is restored from the trace condition: a
     15-vector yields the 4x4 Y-system matrix (rho44 restored), an 8-vector
-    the 3x3 V-system matrix (rho33 restored).
+    the 3x3 V-system matrix (rho33 restored).  Leading axes of v are kept.
     """
     v = np.asarray(v, dtype=complex)
-    system = {(15,): _Y, (8,): _V}.get(v.shape)
+    system = {15: _Y, 8: _V}.get(v.shape[-1] if v.ndim else None)
     if system is None:
-        raise ValueError(f"expected a 15- or 8-component vector, got shape {v.shape}")
-    rho = np.zeros(system.size ** 2, dtype=complex)
-    rho[system.rows] = v
-    rho = rho.reshape(system.size, system.size)
-    rho[-1, -1] = 1.0 - np.trace(rho)
+        raise ValueError(f"expected 15- or 8-component vectors, got shape {v.shape}")
+    rho = np.zeros(v.shape[:-1] + (system.size ** 2,), dtype=complex)
+    rho[..., system.rows] = v
+    rho = rho.reshape(v.shape[:-1] + (system.size, system.size))
+    rho[..., -1, -1] = 1.0 - np.trace(rho, axis1=-2, axis2=-1)
     return rho

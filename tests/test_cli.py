@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -96,6 +97,24 @@ class TestErrorHandling:
         cfg = write_small_config(tmp_path / "input.json", command)
         cfg.write_text(json.dumps(dict(json.loads(cfg.read_text()), **{key: value})))
         assert run(command, "--config", str(cfg), "--out", str(tmp_path / "x.csv")) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ParameterError"
+        assert key in record["message"]
+
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("probe-spectrum", "delta1_min", float("nan")),
+        ("dressed-evolve", "t_max", -1.0),
+        ("dressed-evolve", "dt", float("nan")),
+        ("pump-sweeps", "delta2_max", float("inf")),
+    ])
+    def test_float_grid_fields(self, tmp_path, capsys, command, key, value):
+        cfg = write_small_config(tmp_path / "input.json", command)
+        cfg.write_text(json.dumps(dict(json.loads(cfg.read_text()), **{key: value})))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # no numpy warning ahead of the record
+            assert run(command, "--config", str(cfg),
+                       "--out", str(tmp_path / "x.csv")) == 1
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "ParameterError"
         assert key in record["message"]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,3 +201,87 @@ class TestProbeSpectrum:
         assert pts[0].delta1 == 0.0
         assert isinstance(pts[0].chi, complex)
         assert pts[0].slope is not None
+
+
+def preset_grid(name):
+    lo, hi, n = PRESETS[name].grid.values()
+    return np.linspace(lo, hi, n)
+
+
+class TestStackedPaths:
+    """Each blocked sweep equals its per-point loop bit for bit."""
+
+    @pytest.mark.parametrize("name,detuning", [("fig2b", 0.0), ("fig5b", 0.0), ("fig3", 0.3)])
+    def test_probe_spectrum_matches_scalar_harmonic(self, name, detuning):
+        p = PRESETS[name].params.with_(Delta2=detuning, Delta3=-detuning)
+        grid = preset_grid(name)
+        assert len(grid) == 2001 and len(grid) % floquet._BLOCK  # ends on a partial block
+        resp = floquet.ProbeResponse(p)
+        i13 = resp.liouv.index("13")
+        want_chi, want_slope = [], []
+        for d1 in grid:
+            r_plus, d_r_plus = resp.harmonic(d1 - p.Delta2 + p.W12)
+            want_chi.append(p.gamma2 * r_plus[i13])
+            want_slope.append(p.gamma2 * d_r_plus[i13].real)
+        pts = floquet.probe_spectrum(p, grid)
+        assert np.array_equal([pt.delta1 for pt in pts], grid)
+        assert np.array_equal([pt.chi for pt in pts], want_chi)
+        assert np.array_equal([pt.slope for pt in pts], want_slope)
+
+    def test_harmonic_takes_an_array_of_detunings(self):
+        resp = floquet.ProbeResponse(FIG3)
+        deltas = np.linspace(-2.0, 2.0, 7)
+        r_plus, d_r_plus = resp.harmonic(deltas)
+        assert r_plus.shape == d_r_plus.shape == (7, 15)
+        for k, delta in enumerate(deltas):
+            one = resp.harmonic(delta)
+            assert np.array_equal(r_plus[k], one[0])
+            assert np.array_equal(d_r_plus[k], one[1])
+
+    def test_interference_sweep_matches_per_theta(self):
+        p = get_preset("fig4").params
+        grid = preset_grid("fig4")
+        want = [floquet.ProbeResponse(p.with_(theta_deg=float(np.degrees(np.arccos(x)))))
+                .point(0.0).slope for x in grid]
+        sweep = floquet.interference_sweep(p, grid)
+        assert np.array_equal([x for x, _ in sweep], grid)
+        assert np.array_equal([s for _, s in sweep], want)
+
+    def test_pump_sweep_matches_per_detuning(self):
+        grid = preset_grid("fig8")
+        want = [hermitian_reconstruct(floquet.steady_state(build_for(
+            FIG8.with_(Omega1=0.0, Delta2=float(d2), Delta3=float(-d2))))) for d2 in grid]
+        assert np.array_equal(floquet.pump_sweep(FIG8, grid), want)
+
+    def test_empty_grids(self):
+        assert floquet.probe_spectrum(FIG2B, []) == []
+        assert floquet.interference_sweep(FIG3, []) == []
+        assert floquet.pump_sweep(FIG8, []).shape == (0,)
+
+    def test_one_point_grids(self):
+        (pt,) = floquet.probe_spectrum(FIG5B, [0.5])
+        assert pt == floquet.ProbeResponse(FIG5B).point(0.5)
+        ((x, slope),) = floquet.interference_sweep(FIG3, [1.0])
+        assert (x, slope) == (1.0, floquet.dispersion_slope(FIG3.with_(theta_deg=0.0), 0.0))
+        assert floquet.pump_sweep(FIG8, [0.0]).shape == (1, 4, 4)
+
+    def test_bad_p_in_a_later_block_rejected(self):
+        grid = np.append(np.linspace(0.0, 1.0, floquet._BLOCK + 3), 1.5)
+        with pytest.raises(ValueError, match="1.5"):
+            floquet.interference_sweep(FIG3, grid)
+
+    def test_probe_spectrum_memory_stays_within_a_block(self):
+        # The transient peak (above the result, which grows with the grid)
+        # must be set by one block, not by the grid: a whole 20001-point
+        # stack of 15x15 matrices alone would take 72 MB.
+        block_bytes = floquet._BLOCK * 15 * 15 * 16
+        grid = np.linspace(-10.0, 10.0, 20001)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            pts = floquet.probe_spectrum(FIG2B, grid)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(pts) == 20001
+        assert peak - retained < 8 * block_bytes

@@ -6,6 +6,7 @@ from yprobe.liouvillian import (
     Y_LABELS,
     build_for,
     build_liouvillian,
+    build_stack,
     build_v_liouvillian,
     hermitian_reconstruct,
 )
@@ -239,3 +240,50 @@ class TestHermitianReconstruct:
     def test_bad_length_rejected(self):
         with pytest.raises(ValueError):
             hermitian_reconstruct(np.zeros(10))
+
+    @pytest.mark.parametrize("shape", [(6,), (2, 3)])
+    @pytest.mark.parametrize("labels", [Y_LABELS, V_LABELS], ids=["Y", "V"])
+    def test_stack_matches_per_vector_calls(self, labels, shape):
+        rng = np.random.default_rng(17)
+        v = np.array([random_hermitian_vector(rng, labels)
+                      for _ in range(np.prod(shape))]).reshape(*shape, len(labels))
+        rho = hermitian_reconstruct(v)
+        size = 4 if labels is Y_LABELS else 3
+        assert rho.shape == (*shape, size, size)
+        for index in np.ndindex(*shape):
+            assert np.array_equal(rho[index], hermitian_reconstruct(v[index]))
+
+    def test_scalar_rejected(self):
+        with pytest.raises(ValueError):
+            hermitian_reconstruct(np.float64(1.0))
+
+
+class TestBuildStack:
+    NAMES = ("m0", "m1", "m_minus1", "sigma", "sigma1", "sigma_minus1")
+
+    @pytest.mark.parametrize("kind", list(SystemKind))
+    def test_each_matrix_equals_build_for(self, kind):
+        rng = np.random.default_rng(23)
+        draws = [random_params(rng, kind) for _ in range(40)]
+        draws += [draws[0].with_(theta_deg=90.0), draws[1].with_(theta_deg=0.0)]
+        stack = build_stack(draws)
+        assert stack.m0.shape[0] == stack.sigma.shape[0] == len(draws)
+        assert stack.dim == (15 if kind is SystemKind.Y_FOUR_LEVEL else 8)
+        for k, p in enumerate(draws):
+            one = build_for(p)
+            assert np.array_equal(stack.m0[k], one.m0)
+            assert np.array_equal(stack.sigma[k], one.sigma)
+            for name in self.NAMES[1:3] + self.NAMES[4:]:
+                assert np.array_equal(getattr(stack, name), getattr(one, name))
+            assert stack.labels == one.labels
+
+    def test_one_parameter_set(self):
+        stack = build_stack([y_params()])
+        assert stack.m0.shape == (1, 15, 15)
+        assert np.array_equal(stack.m0[0], build_for(y_params()).m0)
+
+    @pytest.mark.parametrize("params_seq", [[], [y_params(), v_params()]],
+                             ids=["empty", "mixed"])
+    def test_needs_one_system_kind(self, params_seq):
+        with pytest.raises(ParameterError, match="one system kind"):
+            build_stack(params_seq)
