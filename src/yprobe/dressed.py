@@ -163,6 +163,9 @@ def evolve_secular(table: GammaTable, initial, t_max: float, dt: float):
     Returns (times, states) with states of shape (n_steps + 1, 5) in the
     (rho11, rho_pp, rho_mm, rho_dd, rho_1m) ordering.
     """
+    for name, value in (("t_max", t_max), ("dt", dt)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     y0 = np.asarray(initial, dtype=float)
     if y0.shape != (5,):
         raise ValueError(f"initial state must have 5 components, got {y0.shape}")
@@ -170,22 +173,17 @@ def evolve_secular(table: GammaTable, initial, t_max: float, dt: float):
         raise ValueError(f"initial populations must sum to 1, got {y0[:4].sum()}")
     g = table.matrix()
     dt_max = 0.01 / np.abs(g).max()
-    if dt <= 0 or dt > dt_max:
+    if dt > dt_max:
         raise ValueError(f"step must satisfy 0 < dt <= {dt_max:.3e}, got {dt}")
 
     n_steps = int(round(t_max / dt))
     times = np.arange(n_steps + 1) * dt
-    states = np.empty((n_steps + 1, 5))
-    states[0] = y0
     # The generator is constant, so the 4th-order step collapses to one
-    # precomputed matrix: a = sum_{j<=4} (dt G)^j / j!.
+    # precomputed matrix, a = sum_{j<=4} (dt G)^j / j!, and the states are
+    # its powers applied to y0.
     dtg = dt * g
     a = np.eye(5) + dtg @ (np.eye(5) + dtg @ (np.eye(5) + dtg @ (np.eye(5) + dtg / 4.0) / 3.0) / 2.0)
-    y = y0
-    for k in range(n_steps):
-        y = a @ y
-        states[k + 1] = y
-    return times, states
+    return times, linalg.power_orbit(a, y0, n_steps)
 
 
 def secular_steady_state(table: GammaTable) -> np.ndarray:

@@ -3,7 +3,8 @@
 A thin, validated wrapper around LAPACK via scipy: LU with partial
 pivoting, explicit singularity detection and a residual check, for one
 matrix or a stack of them.  Matrices and vectors are plain complex numpy
-arrays.
+arrays.  power_orbit walks the powers of one matrix applied to a vector,
+for the fixed-step time integrators.
 """
 
 from __future__ import annotations
@@ -90,3 +91,24 @@ def solve(a, b) -> np.ndarray:
             f"{np.broadcast_to(bound, over.shape)[index]:.3e}"
         )
     return x[..., 0]
+
+
+def power_orbit(p, x0, n: int) -> np.ndarray:
+    """The n + 1 vectors p^k x0 for k = 0..n, as rows of one array.
+
+    The orbit is walked by doubling: with the first m rows known,
+    rows m..2m-1 are the first m rows times (p^m)^T, and p^m is then
+    squared.  That takes about 2 log2(n) matrix products instead of n
+    matrix-vector steps.
+    """
+    x0 = np.asarray(x0)
+    out = np.empty((n + 1,) + x0.shape, dtype=np.result_type(p, x0))
+    out[0] = x0
+    m = 1
+    while m <= n:
+        count = min(m, n + 1 - m)
+        out[m:m + count] = out[:count] @ p.T
+        m += count
+        if m <= n:
+            p = p @ p
+    return out

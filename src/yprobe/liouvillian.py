@@ -67,15 +67,6 @@ class LiouvillianSet:
     def index(self, label: str) -> int:
         return self.labels.index(label)
 
-    def m_at(self, omega1: float, delta: float, phi: float, t: float) -> np.ndarray:
-        """The full generator matrix at time t."""
-        e_minus = np.exp(-1j * (delta * t - phi))
-        return self.m0 + omega1 * (self.m1 * e_minus + self.m_minus1 / e_minus)
-
-    def sigma_at(self, omega1: float, delta: float, phi: float, t: float) -> np.ndarray:
-        e_minus = np.exp(-1j * (delta * t - phi))
-        return self.sigma + omega1 * (self.sigma1 * e_minus + self.sigma_minus1 / e_minus)
-
     def to_jsonable(self) -> dict:
         out = {"labels": list(self.labels)}
         for name in ("m0", "m1", "m_minus1", "sigma", "sigma1", "sigma_minus1"):

@@ -3,21 +3,31 @@
 Independent cross-check for the linear-response path: the generator with
 its explicit probe phase factors is stepped with a fixed-step classical
 4th-order method, and the probe-locked harmonic of rho13 is extracted by
-demodulation over the periodic steady regime.  Nothing here shares code
-with the Floquet solves beyond the generator matrices themselves.
+demodulation over the periodic steady regime.  One step is a linear map of
+the augmented state [R; 1], precomputed once per trajectory from the
+generator matrices: with the probe off it is a constant matrix, composed
+over the stored samples and walked by doubling; with the probe on it is a
+Laurent polynomial in the probe phase, applied step by step.  Beyond the
+generator matrices nothing here is shared with the Floquet solves: the one
+linalg helper it calls, power_orbit, is not on the linear-response path.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .liouvillian import LiouvillianSet
 from .params import SystemParams
 
 STABILITY_FACTOR = 0.02
+# Probe-on steps whose phases are computed at once (9 complex numbers each).
+PHASE_CHUNK = 2048
+_POWERS = np.arange(-4, 5)
 
 
 class IntegrationError(RuntimeError):
@@ -48,17 +58,103 @@ class TrajectoryConfig:
     store_every: int = 1
 
 
+def _step_coefficients(liouv: LiouvillianSet, omega1: float, delta: float,
+                       dt: float) -> np.ndarray:
+    """Laurent coefficients T_j, j = -4..4, of one classical 4th-order step.
+
+    On x = [R; 1] the equation is dx/dt = G(z) x with
+    G(z) = G0 + Omega1 (z G1 + G-1 / z) and z = exp(-i(delta t - Phi)).
+    The four stages sit at z, z w, z w and z w^2 with w = exp(-i delta dt / 2),
+    so the step from time t is x -> sum_j z(t)^j T_j x.  Returns an array of
+    shape (9, dim + 1, dim + 1); T[4], the z^0 term, is the whole step when
+    Omega1 = 0.
+    """
+    dim = liouv.dim
+    g = np.zeros((3, dim + 1, dim + 1), dtype=complex)    # z^-1, z^0, z^+1
+    for row, m, s, scale in ((0, liouv.m_minus1, liouv.sigma_minus1, omega1),
+                             (1, liouv.m0, liouv.sigma, 1.0),
+                             (2, liouv.m1, liouv.sigma1, omega1)):
+        g[row, :dim, :dim] = scale * m
+        g[row, :dim, dim] = -scale * s
+    w = np.exp(-0.5j * delta * dt)
+
+    def times_g(gz, p):
+        """gz(z) p(z), for p of degree at most 3."""
+        out = gz[1] @ p
+        out[:-1] += gz[0] @ p[1:]
+        out[1:] += gz[2] @ p[:-1]
+        return out
+
+    eye = np.zeros((9, dim + 1, dim + 1), dtype=complex)
+    eye[4] = np.eye(dim + 1)
+    half = g * np.array([1.0 / w, 1.0, w])[:, None, None]
+    full = g * np.array([1.0 / w ** 2, 1.0, w ** 2])[:, None, None]
+    k1 = times_g(g, eye)
+    k2 = times_g(half, eye + 0.5 * dt * k1)
+    k3 = times_g(half, eye + 0.5 * dt * k2)
+    k4 = times_g(full, eye + dt * k3)
+    return eye + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _constant_orbit(step: np.ndarray, x0: np.ndarray, n_steps: int,
+                    every: int) -> np.ndarray:
+    """States after 0, every, 2 every, ... steps of one fixed map, and after n_steps."""
+    n_full, rem = divmod(n_steps, every)
+    block = np.linalg.matrix_power(step, every) if n_full else step
+    states = linalg.power_orbit(block, x0, n_full)
+    if rem:
+        states = np.vstack([states, np.linalg.matrix_power(step, rem) @ states[-1]])
+    return states
+
+
+def _laurent_orbit(coeffs: np.ndarray, x0: np.ndarray, stored: np.ndarray,
+                   delta: float, phi: float, dt: float) -> np.ndarray:
+    """States after the step counts in stored (stored[0] = 0), stepping one by one.
+
+    The phases z_k^j = exp(-ij(delta k dt - Phi)) come from the exact step
+    times, a chunk of steps at a time, so they do not drift.
+    """
+    dim = len(x0) - 1
+    c = coeffs[:, :dim].reshape(9 * dim, dim + 1)
+    y = np.empty(9 * dim, dtype=complex)
+    terms = y.reshape(9, dim)
+    out = np.empty((len(stored), dim + 1), dtype=complex)
+    out[0] = x0
+    buf = np.ones((PHASE_CHUNK, dim + 1), dtype=complex)   # last column stays 1
+    x, pos = x0, 1
+    for k0 in range(0, stored[-1], PHASE_CHUNK):
+        k = np.arange(k0, min(k0 + PHASE_CHUNK, stored[-1]))
+        phases = np.exp(-1j * np.multiply.outer(delta * (k * dt) - phi, _POWERS))
+        for x_next, r_next, z in zip(buf, buf[:, :dim], phases):
+            np.matmul(c, x, out=y)
+            np.matmul(z, terms, out=r_next)
+            x = x_next
+        end = np.searchsorted(stored, k[-1] + 1, side="right")
+        out[pos:end] = buf[stored[pos:end] - k0 - 1]
+        pos = end
+    return out
+
+
+def _check_positive(name: str, value) -> None:
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+        raise IntegrationError(f"{name} must be finite and positive, got {value!r}")
+
+
 def integrate_full(liouv: LiouvillianSet, params: SystemParams,
                    config: TrajectoryConfig):
     """Integrate d/dt R = M(t) R - Sigma(t) with the probe phases explicit.
 
     Returns (times, states); states has one stacked element vector per
-    stored sample.  Raises IntegrationError on an unstable step size or a
-    non-finite state.
+    stored sample, taken after every store_every steps and after the last
+    step.  Raises IntegrationError on an invalid span, step or store_every,
+    an unstable step size or a non-finite stored state.
     """
+    _check_positive("dt", config.dt)
+    _check_positive("t_max", config.t_max)
+    every = config.store_every
+    if not isinstance(every, numbers.Integral) or isinstance(every, bool) or every < 1:
+        raise IntegrationError(f"store_every must be an integer >= 1, got {every!r}")
     dt = config.dt
-    if dt <= 0:
-        raise IntegrationError(f"dt must be positive, got {dt}")
     dt_max = max_stable_dt(liouv, params.Omega1)
     if dt > dt_max:
         raise IntegrationError(
@@ -71,62 +167,22 @@ def integrate_full(liouv: LiouvillianSet, params: SystemParams,
     if r.shape != (liouv.dim,):
         raise ValueError(f"initial state must have {liouv.dim} components, got {r.shape}")
 
-    omega1, phi, delta = params.Omega1, params.Phi, config.demod_delta
     n_steps = int(round(config.t_max / dt))
-    times = [0.0]
-    states = [r.copy()]
-
-    if omega1 == 0.0:
-        # Probe off: the generator is constant, so the classical 4th-order
-        # step reduces to a fixed affine map r -> A r + b, precomputed once.
-        # A = sum_{j<=4} (dt M)^j / j!,  b = -dt sum_{j<=3} (dt M)^j/(j+1)! Sigma.
-        dtm = dt * liouv.m0
-        eye = np.eye(liouv.dim)
-        a = eye.astype(complex)
-        phi_m = eye.astype(complex)
-        power = eye.astype(complex)
-        fact = 1.0
-        for j in range(1, 5):
-            power = power @ dtm
-            fact *= j
-            a = a + power / fact
-            if j < 4:
-                phi_m = phi_m + power / (fact * (j + 1))
-        b = -dt * (phi_m @ liouv.sigma)
-        for k in range(n_steps):
-            r = a @ r + b
-            if (k + 1) % config.store_every == 0 or k == n_steps - 1:
-                if not np.all(np.isfinite(r.view(float))):
-                    raise IntegrationError(
-                        f"non-finite state at t = {(k + 1) * dt:.4g}; aborting"
-                    )
-                times.append((k + 1) * dt)
-                states.append(r.copy())
-        return np.array(times), np.array(states)
-
-    m0, m1, mm1 = liouv.m0, liouv.m1, liouv.m_minus1
-    s0, s1, sm1 = liouv.sigma, liouv.sigma1, liouv.sigma_minus1
-
-    def rhs(t, state):
-        e_minus = np.exp(-1j * (delta * t - phi))
-        return (m0 @ state - s0
-                + (omega1 * e_minus) * (m1 @ state - s1)
-                + (omega1 / e_minus) * (mm1 @ state - sm1))
-
-    t = 0.0
-    for k in range(n_steps):
-        k1 = rhs(t, r)
-        k2 = rhs(t + 0.5 * dt, r + 0.5 * dt * k1)
-        k3 = rhs(t + 0.5 * dt, r + 0.5 * dt * k2)
-        k4 = rhs(t + dt, r + dt * k3)
-        r = r + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = (k + 1) * dt
-        if (k + 1) % config.store_every == 0 or k == n_steps - 1:
-            if not np.all(np.isfinite(r.view(float))):
-                raise IntegrationError(f"non-finite state at t = {t:.4g}; aborting")
-            times.append(t)
-            states.append(r.copy())
-    return np.array(times), np.array(states)
+    stored = np.arange(0, n_steps + 1, every)
+    if stored[-1] != n_steps:
+        stored = np.append(stored, n_steps)
+    times = stored * dt
+    x0 = np.append(r, 1.0)
+    coeffs = _step_coefficients(liouv, params.Omega1, config.demod_delta, dt)
+    if params.Omega1 == 0.0:
+        states = _constant_orbit(coeffs[4], x0, n_steps, every)
+    else:
+        states = _laurent_orbit(coeffs, x0, stored, config.demod_delta, params.Phi, dt)
+    finite = np.isfinite(states[1:].view(float)).all(axis=1)
+    if not finite.all():
+        raise IntegrationError(
+            f"non-finite state at t = {times[1 + np.argmin(finite)]:.4g}; aborting")
+    return times, np.ascontiguousarray(states[:, :-1])
 
 
 def steady_state_by_integration(liouv: LiouvillianSet, params: SystemParams,

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from yprobe import dressed, floquet
 from yprobe.liouvillian import build_liouvillian
-from yprobe.params import ParameterError
+from yprobe.params import ParameterError, SystemParams
 from yprobe.presets import get_preset
 
 FIG2B = get_preset("fig2b").params
@@ -120,6 +122,40 @@ class TestEvolveSecular:
         table = dressed.secular_table_from_params(FIG2B)
         with pytest.raises(ValueError, match="step"):
             dressed.evolve_secular(table, (0, 0.5, 0.5, 0, 0), 10.0, 0.5)
+
+    @pytest.mark.parametrize("t_max, dt, field", [
+        (-1.0, 0.01, "t_max"), (math.nan, 0.01, "t_max"), (math.inf, 0.01, "t_max"),
+        (10.0, math.nan, "dt"), (10.0, -0.01, "dt")])
+    def test_rejects_invalid_span_and_step(self, t_max, dt, field):
+        table = dressed.secular_table_from_params(FIG2B)
+        with pytest.raises(ValueError, match=field):
+            dressed.evolve_secular(table, (0, 0.5, 0.5, 0, 0), t_max, dt)
+
+    def test_matches_step_loop(self):
+        table = dressed.secular_table_from_params(FIG2B)
+        y = np.array(dressed.middle_state_dressed_populations())
+        times, states = dressed.evolve_secular(table, y, 30.0, 0.01)
+        dtg = 0.01 * table.matrix()
+        a = np.eye(5) + dtg + dtg @ dtg / 2 + dtg @ dtg @ dtg / 6 + dtg @ dtg @ dtg @ dtg / 24
+        want = [y]
+        for _ in range(3000):
+            want.append(a @ want[-1])
+        assert times.tolist() == [k * 0.01 for k in range(3001)]
+        assert np.abs(states - np.array(want)).max() <= 1e-12
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(omega=st.floats(1.0, 10.0), theta=st.floats(0.0, 90.0),
+           gamma1=st.floats(0.005, 1.0), gamma3=st.floats(0.005, 1.0))
+    def test_population_sum_conserved_on_locked_parameters(self, omega, theta,
+                                                           gamma1, gamma3):
+        p = SystemParams(gamma1=gamma1, gamma2=1.0, gamma3=gamma3, theta_deg=theta,
+                         W12=-math.sqrt(2.0) * omega, Omega1=0.0, Omega2=omega,
+                         Omega3=omega)
+        table = dressed.secular_table_from_params(p)
+        dt = 0.5 * 0.01 / np.abs(table.matrix()).max()
+        _, states = dressed.evolve_secular(
+            table, dressed.middle_state_dressed_populations(), 500.0, dt)
+        assert np.abs(states[:, :4].sum(axis=1) - 1.0).max() <= 1e-9
 
     def test_rejects_bad_initial_trace(self):
         table = dressed.secular_table_from_params(FIG2B)

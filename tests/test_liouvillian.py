@@ -87,7 +87,10 @@ class TestYBuilder:
         lv = build_liouvillian(p)
         for t in (0.0, 1.3, 7.7):
             v = random_hermitian_vector(rng, Y_LABELS)
-            deriv = lv.m_at(p.Omega1, 1.0, p.Phi, t) @ v - lv.sigma_at(p.Omega1, 1.0, p.Phi, t)
+            e = np.exp(-1j * (1.0 * t - p.Phi))
+            m_t = lv.m0 + p.Omega1 * (lv.m1 * e + lv.m_minus1 / e)
+            sigma_t = lv.sigma + p.Omega1 * (lv.sigma1 * e + lv.sigma_minus1 / e)
+            deriv = m_t @ v - sigma_t
             lhs = deriv[:3].sum()
             rho34 = v[lv.index("34")]
             rho43 = v[lv.index("43")]
@@ -100,8 +103,10 @@ class TestYBuilder:
         for labels, params in ((Y_LABELS, y_params()), (V_LABELS, v_params())):
             lv = build_for(params)
             v = random_hermitian_vector(rng, labels)
-            deriv = (lv.m_at(params.Omega1, 0.8, params.Phi, 1.3) @ v
-                     - lv.sigma_at(params.Omega1, 0.8, params.Phi, 1.3))
+            e = np.exp(-1j * (0.8 * 1.3 - params.Phi))
+            m_t = lv.m0 + params.Omega1 * (lv.m1 * e + lv.m_minus1 / e)
+            sigma_t = lv.sigma + params.Omega1 * (lv.sigma1 * e + lv.sigma_minus1 / e)
+            deriv = m_t @ v - sigma_t
             for k, label in enumerate(labels):
                 conj_k = labels.index(label[::-1])
                 assert deriv[k] == pytest.approx(np.conj(deriv[conj_k]), abs=1e-13)
@@ -192,8 +197,10 @@ class TestGeneratorFromMasterEquation:
             delta, t = rng.normal(0, 3), rng.uniform(0, 10)
             v = random_hermitian_vector(rng, lv.labels)
             rho = hermitian_reconstruct(v)
-            deriv = (lv.m_at(p.Omega1, delta, p.Phi, t) @ v
-                     - lv.sigma_at(p.Omega1, delta, p.Phi, t))
+            e = np.exp(-1j * (delta * t - p.Phi))
+            m_t = lv.m0 + p.Omega1 * (lv.m1 * e + lv.m_minus1 / e)
+            sigma_t = lv.sigma + p.Omega1 * (lv.sigma1 * e + lv.sigma_minus1 / e)
+            deriv = m_t @ v - sigma_t
             got = hermitian_reconstruct(deriv)
             got[-1, -1] -= 1.0   # d rho/dt has trace 0, not 1
             assert np.abs(got - direct_rhs(p, delta, t, rho)).max() <= 1e-12

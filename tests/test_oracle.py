@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from yprobe import floquet, oracle
-from yprobe.liouvillian import build_for, build_liouvillian
+from yprobe.liouvillian import LiouvillianSet, build_for, build_liouvillian
 from yprobe.params import SystemParams
 from yprobe.presets import get_preset
 
@@ -84,6 +84,100 @@ class TestIntegrateFull:
                 errs.append(np.abs(states[-1] - prev).max())
             prev = states[-1]
         assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.5)
+
+
+def rk4_affine(lv, dt):
+    """Constant-generator RK4 step as r -> a r + b, from M0 and Sigma."""
+    dtm = dt * lv.m0
+    eye = np.eye(lv.dim)
+    a = eye + dtm @ (eye + dtm @ (eye + dtm @ (eye + dtm / 4) / 3) / 2)
+    phi_m = eye + dtm @ (eye + dtm @ (eye + dtm / 4) / 3) / 2
+    return a, -dt * (phi_m @ lv.sigma)
+
+
+def rk4_step(lv, omega1, delta, phi, t, dt, r):
+    """One four-stage RK4 step of d/dt R = M(t) R - Sigma(t), written out."""
+    def rhs(t, r):
+        e = np.exp(-1j * (delta * t - phi))
+        return (lv.m0 @ r - lv.sigma
+                + omega1 * e * (lv.m1 @ r - lv.sigma1)
+                + omega1 / e * (lv.m_minus1 @ r - lv.sigma_minus1))
+    k1 = rhs(t, r)
+    k2 = rhs(t + dt / 2, r + dt / 2 * k1)
+    k3 = rhs(t + dt / 2, r + dt / 2 * k2)
+    k4 = rhs(t + dt, r + dt * k3)
+    return r + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+class TestPrecomputedSteps:
+    """The composed and Laurent-expanded steps against plain RK4 loops."""
+
+    @pytest.mark.parametrize("name, start", [("fig7", "33"), ("fig5c", "22")])
+    @pytest.mark.parametrize("every", [7, 10 ** 4])
+    def test_probe_off_orbit_matches_step_loop(self, name, start, every):
+        p = get_preset(name).params.with_(Omega1=0.0)
+        lv = build_for(p)
+        r = np.zeros(lv.dim, dtype=complex)
+        r[lv.index(start)] = 1.0
+        dt = 0.9 * oracle.max_stable_dt(lv, 0.0)
+        n_steps = 3000                     # 3000 = 428 * 7 + 4: a partial last block
+        cfg = oracle.TrajectoryConfig(t_max=n_steps * dt, dt=dt, initial=r,
+                                      store_every=every)
+        times, states = oracle.integrate_full(lv, p, cfg)
+        a, b = rk4_affine(lv, dt)
+        want = [r]
+        for k in range(1, n_steps + 1):
+            r = a @ r + b
+            if k % every == 0 or k == n_steps:
+                want.append(r)
+        steps = [k * every for k in range(n_steps // every + 1)] + [n_steps]
+        assert times.tolist() == [k * dt for k in steps]
+        assert np.abs(states - np.array(want)).max() <= 1e-10
+
+    @pytest.mark.parametrize("name", ["fig2b", "fig5c"])
+    def test_probe_on_step_matches_four_stages(self, name):
+        rng = np.random.default_rng(5)
+        p = get_preset(name).params.with_(Omega1=0.5, Phi=rng.uniform(0, 2 * math.pi))
+        lv = build_for(p)
+        delta = rng.uniform(-2.0, 2.0)
+        dt = 0.9 * oracle.max_stable_dt(lv, p.Omega1)
+        r0 = floquet.steady_state(lv)
+        cfg = oracle.TrajectoryConfig(t_max=2000 * dt, dt=dt, initial=r0,
+                                      demod_delta=delta)
+        times, states = oracle.integrate_full(lv, p, cfg)
+        for k in rng.choice(2000, size=50, replace=False):
+            want = rk4_step(lv, p.Omega1, delta, p.Phi, k * dt, dt, states[k])
+            assert np.abs(states[k + 1] - want).max() <= 1e-13
+        r = r0
+        for k in range(2000):
+            r = rk4_step(lv, p.Omega1, delta, p.Phi, k * dt, dt, r)
+        assert np.abs(states[-1] - r).max() <= 1e-12
+
+    @pytest.mark.parametrize("omega1", [0.0, 0.1])
+    def test_non_finite_state_names_first_bad_sample(self, omega1):
+        # a hand-made growing generator: |R| = 3e300 exp(t / 2) overflows
+        # between t = 35 and t = 36, far from either stored sample
+        eye, zero = 0.5 * np.eye(15, dtype=complex), np.zeros((15, 15), dtype=complex)
+        lv = LiouvillianSet(eye, zero, zero, np.zeros(15, dtype=complex),
+                            np.zeros(15, dtype=complex), np.zeros(15, dtype=complex),
+                            build_liouvillian(FIG2B).labels)
+        p = FIG2B.with_(Omega1=omega1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for initial, t_bad in ((np.full(15, 3e300), "36"), (np.full(15, np.inf), "1")):
+                cfg = oracle.TrajectoryConfig(t_max=50.0, dt=0.01, initial=initial,
+                                              demod_delta=0.7, store_every=100)
+                with pytest.raises(oracle.IntegrationError, match=f"t = {t_bad};"):
+                    oracle.integrate_full(lv, p, cfg)
+
+    @pytest.mark.parametrize("field, value", [
+        ("store_every", 0), ("store_every", -3), ("store_every", 2.5),
+        ("store_every", True), ("dt", math.nan), ("t_max", -1.0), ("t_max", math.inf)])
+    def test_rejects_invalid_config(self, field, value):
+        lv = build_liouvillian(FIG2B)
+        cfg = oracle.TrajectoryConfig(t_max=0.05, dt=1e-3)
+        setattr(cfg, field, value)
+        with pytest.raises(oracle.IntegrationError, match=field):
+            oracle.integrate_full(lv, FIG2B, cfg)
 
 
 class TestSteadyStateByIntegration:
