@@ -6,14 +6,7 @@ of a four-level atom whose excited doublet decays through shared vacuum
 modes (decay-induced interference), plus the reduced three-level V system.
 """
 
-from .params import (
-    ParameterError,
-    SystemKind,
-    SystemParams,
-    delta_from_delta1,
-    delta1_from_delta,
-    interference_parameter,
-)
+from .params import ParameterError, SystemKind, SystemParams, delta_from_delta1
 from .liouvillian import (
     LiouvillianSet,
     build_liouvillian,
@@ -22,7 +15,6 @@ from .liouvillian import (
 )
 from .floquet import (
     ProbeResponse,
-    SpectrumPoint,
     dispersion_slope,
     group_velocity_ratio,
     interference_sweep,
@@ -31,9 +23,6 @@ from .floquet import (
     susceptibility,
 )
 from .dressed import (
-    DressedState,
-    GammaTable,
-    coherence_from_populations,
     dressed_states,
     evolve_secular,
     gamma_table,

@@ -42,14 +42,11 @@ _OPTIONS = {
 }
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _write_csv(path: Path, header: list, rows: list, as_json: bool):
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, header: list, columns: list, as_json: bool):
+    """Write equal-length columns (1-d, or 2-d blocks of columns) as CSV rows, full precision."""
+    rows = np.column_stack(columns).tolist()
+    line = ",".join(["{:.17g}"] * len(header))
+    path.write_text("\n".join([",".join(header), *(line.format(*row) for row in rows)]) + "\n")
     if as_json:
         records = [dict(zip(header, row)) for row in rows]
         Path(str(path) + ".json").write_text(json.dumps(records) + "\n")
@@ -113,15 +110,14 @@ def _full_config(params: SystemParams, grid: dict) -> dict:
 def cmd_probe_spectrum(args) -> int:
     params, grid = _resolve_config(args, "probe-spectrum")
     values = np.linspace(grid["delta1_min"], grid["delta1_max"], grid["n_points"])
-    points = floquet.probe_spectrum(params, values)
+    chi, slope = floquet.probe_spectrum(params, values)
     header = ["delta1", "re_chi", "im_chi", "slope"]
-    rows = [[pt.delta1, pt.chi.real, pt.chi.imag, pt.slope] for pt in points]
+    columns = [values, chi.real, chi.imag, slope]
     if grid["k_value"] is not None:
         header.append("c_over_vg")
-        for row in rows:
-            row.append(floquet.group_velocity_ratio(row[3], grid["k_value"]))
+        columns.append(floquet.group_velocity_ratio(slope, grid["k_value"]))
     out = Path(args.out)
-    _write_csv(out, header, rows, args.json)
+    _write_csv(out, header, columns, args.json)
     _emit_config(out, _full_config(params, grid))
     return 0
 
@@ -129,9 +125,9 @@ def cmd_probe_spectrum(args) -> int:
 def cmd_interference_sweep(args) -> int:
     params, grid = _resolve_config(args, "interference-sweep")
     p_values = np.linspace(grid["p_min"], grid["p_max"], grid["n_points"])
-    sweep = floquet.interference_sweep(params, p_values)
+    slope = floquet.interference_sweep(params, p_values)
     out = Path(args.out)
-    _write_csv(out, ["p", "slope_normalized"], [list(row) for row in sweep], args.json)
+    _write_csv(out, ["p", "slope_normalized"], [p_values, slope], args.json)
     _emit_config(out, _full_config(params, grid))
     return 0
 
@@ -140,16 +136,20 @@ def cmd_pump_sweeps(args) -> int:
     params, grid = _resolve_config(args, "pump-sweeps")
     d2_values = np.linspace(grid["delta2_min"], grid["delta2_max"], grid["n_points"])
     rhos = floquet.pump_sweep(params, d2_values)
+    # Populations of every level but the eliminated ground level (the last),
+    # and the pump coherences rho_k,k+1 from level 2 on.
+    size = rhos.shape[-1]
+    pop_header, pops = ["delta2"], [d2_values]
+    for k in range(1, size):
+        pop_header.append(f"rho{k}{k}")
+        pops.append(rhos[:, k - 1, k - 1].real)
+    coh_header, cohs = ["delta2"], [d2_values]
+    for k in range(2, size):
+        coh_header += [f"re_rho{k}{k + 1}", f"im_rho{k}{k + 1}"]
+        cohs += [rhos[:, k - 1, k].real, rhos[:, k - 1, k].imag]
     out = Path(args.out)
-    pop_path = out.with_name(out.stem + "_populations.csv")
-    coh_path = out.with_name(out.stem + "_coherences.csv")
-    _write_csv(pop_path, ["delta2", "rho11", "rho22", "rho33"],
-               [[d2, *rho.diagonal()[:3].real] for d2, rho in zip(d2_values, rhos)],
-               args.json)
-    _write_csv(coh_path,
-               ["delta2", "re_rho23", "im_rho23", "re_rho34", "im_rho34"],
-               [[d2, rho[1, 2].real, rho[1, 2].imag, rho[2, 3].real, rho[2, 3].imag]
-                for d2, rho in zip(d2_values, rhos)], args.json)
+    _write_csv(out.with_name(out.stem + "_populations.csv"), pop_header, pops, args.json)
+    _write_csv(out.with_name(out.stem + "_coherences.csv"), coh_header, cohs, args.json)
     _emit_config(out, _full_config(params, grid))
     return 0
 
@@ -158,12 +158,10 @@ def cmd_dressed_evolve(args) -> int:
     params, grid = _resolve_config(args, "dressed-evolve")
     table = dressed.secular_table_from_params(params)
     times, states = dressed.evolve_secular(
-        table, dressed.middle_state_dressed_populations(),
-        grid["t_max"], grid["dt"])
+        table, dressed.MIDDLE_STATE, grid["t_max"], grid["dt"])
     step = grid["store_every"]
-    keep = np.arange(0, len(times), step)
     header = ["t", "rho11", "rho_pp", "rho_mm", "rho_dd", "rho_1m"]
-    rows = [[times[k], *states[k]] for k in keep]
+    columns = [times[::step], states[::step]]
 
     steady = dressed.secular_steady_state(table)
     summary = {"steady": dict(zip(header[1:], map(float, steady)))}
@@ -175,15 +173,13 @@ def cmd_dressed_evolve(args) -> int:
         cfg = oracle.TrajectoryConfig(t_max=grid["t_max"], dt=grid["dt"] * step / n_per,
                                       initial=init, store_every=n_per)
         t_full, s_full = oracle.integrate_full(liouv, params.with_(Omega1=0.0), cfg)
-        rho11_full = np.interp(times[keep], t_full, s_full[:, 0].real)
         header.append("rho11_full")
-        for row, v in zip(rows, rho11_full):
-            row.append(float(v))
+        columns.append(np.interp(times[::step], t_full, s_full[:, 0].real))
         summary["full_me_rho11_steady"] = float(
             floquet.steady_state(liouv)[0].real)
 
     out = Path(args.out)
-    _write_csv(out, header, rows, args.json)
+    _write_csv(out, header, columns, args.json)
     _emit_config(out, _full_config(params, grid))
     print(json.dumps(summary))
     return 0

@@ -17,10 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .params import ParameterError, SystemParams
+from .params import ParameterError, SystemKind, SystemParams
 
-POPULATIONS = ("11", "++", "--", "dd")
-TARGETS = ("11", "++", "--", "dd", "1-")
+# Dressed decomposition (rho11, rho_pp, rho_mm, rho_dd, rho_1m) of the bare
+# initial state rho33 = 1: <d|3> = 0 and |<+/-|3>|^2 = 1/2 for every pump
+# strength, so it is exact and parameter-free.
+MIDDLE_STATE = (0.0, 0.5, 0.5, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -51,101 +53,64 @@ def dressed_states(Omega2: float, Omega3: float):
     return d, plus, minus
 
 
-def middle_state_dressed_populations() -> tuple:
-    """Dressed decomposition of the bare initial state rho33 = 1.
-
-    <d|3> = 0 and |<+/-|3>|^2 = lam^2 / (2 (Omega2^2 + Omega3^2)) = 1/2
-    for every pump strength, so the result is exact and parameter-free:
-    (rho11, rho_pp, rho_mm, rho_dd, rho_1m) = (0, 1/2, 1/2, 0, 0).
-    """
-    return (0.0, 0.5, 0.5, 0.0, 0.0)
-
-
 @dataclass(frozen=True)
 class GammaTable:
-    """Decay and transfer rates between dressed-basis elements.
+    """Secular generator over (rho11, rho_pp, rho_mm, rho_dd, rho_1m), and its rates.
 
-    rates[(source, target)] is the coefficient of rho_source in the
-    d rho_target / dt equation; sources run over the four populations and
-    the two conjugate coherences "1-", "-1", targets over the populations
-    and "1-".
+    Row i holds the coefficients of d(element i)/dt.  The coherence is real
+    (rho_-1 = rho_1-), so its two conjugate source terms share column 4.
     """
 
-    rates: dict
+    generator: np.ndarray
     gamma1: float
     gamma2: float
     gamma3: float
     gamma12: float
 
-    def rate(self, source: str, target: str) -> float:
-        return self.rates[(source, target)]
-
     def matrix(self) -> np.ndarray:
-        """5x5 real generator over (rho11, rho_pp, rho_mm, rho_dd, rho_1m).
-
-        The coherence is real (rho_-1 = rho_1-), so the "1-" and "-1"
-        source columns merge.
-        """
-        g = np.zeros((5, 5))
-        cols = ("11", "++", "--", "dd")
-        for i, target in enumerate(TARGETS):
-            for j, source in enumerate(cols):
-                g[i, j] = self.rates[(source, target)]
-            g[i, 4] = self.rates[("1-", target)] + self.rates[("-1", target)]
-        return g
+        """The 5x5 real generator, a fresh copy the caller may write into."""
+        return self.generator.copy()
 
 
 def gamma_table(gamma1: float, gamma2: float, gamma3: float,
                 gamma12: float) -> GammaTable:
     """Rate table of the secular dressed-basis equations.
 
-    Only the coherence columns carry gamma12: population and coherence
-    sectors decouple exactly when the decay interference is switched off.
+    Only the coherence column and row carry gamma12: population and
+    coherence sectors decouple exactly when the decay interference is
+    switched off.
     """
-    r = {}
-    r[("11", "11")] = -2.0 * gamma1
-    r[("++", "11")] = r[("--", "11")] = r[("dd", "11")] = 0.0
-    r[("1-", "11")] = r[("-1", "11")] = -gamma12 / 2.0
-
-    r[("11", "++")] = gamma1
-    r[("++", "++")] = -(gamma2 + 3.0 * gamma3) / 4.0
-    r[("--", "++")] = (gamma2 + gamma3) / 4.0
-    r[("dd", "++")] = gamma2 / 2.0
-    r[("1-", "++")] = r[("-1", "++")] = gamma12 / 2.0
-
-    r[("11", "--")] = gamma1
-    r[("--", "--")] = -(gamma2 + 3.0 * gamma3) / 4.0
-    r[("++", "--")] = (gamma2 + gamma3) / 4.0
-    r[("dd", "--")] = gamma2 / 2.0
-    r[("1-", "--")] = r[("-1", "--")] = 0.0
-
-    r[("11", "dd")] = r[("1-", "dd")] = r[("-1", "dd")] = 0.0
-    r[("dd", "dd")] = -gamma2
-    r[("++", "dd")] = r[("--", "dd")] = gamma3 / 2.0
-
-    r[("11", "1-")] = r[("--", "1-")] = -gamma12 / 2.0
-    r[("++", "1-")] = r[("dd", "1-")] = r[("-1", "1-")] = 0.0
-    r[("1-", "1-")] = -(4.0 * gamma1 + gamma2 + 2.0 * gamma3) / 4.0
-
-    return GammaTable(r, gamma1, gamma2, gamma3, gamma12)
+    decay, feed = -(gamma2 + 3.0 * gamma3) / 4.0, (gamma2 + gamma3) / 4.0
+    g = np.array([
+        [-2.0 * gamma1, 0.0, 0.0, 0.0, -gamma12],
+        [gamma1, decay, feed, gamma2 / 2.0, gamma12],
+        [gamma1, feed, decay, gamma2 / 2.0, 0.0],
+        [0.0, gamma3 / 2.0, gamma3 / 2.0, -gamma2, 0.0],
+        [-gamma12 / 2.0, 0.0, -gamma12 / 2.0, 0.0,
+         -(4.0 * gamma1 + gamma2 + 2.0 * gamma3) / 4.0],
+    ])
+    return GammaTable(g, gamma1, gamma2, gamma3, gamma12)
 
 
 def secular_table_from_params(params: SystemParams,
                               rtol: float = 1e-9) -> GammaTable:
     """Build the rate table after enforcing the degeneracy lock.
 
-    Requires Delta2 = Delta3 = 0, Omega2 = Omega3 and
+    Requires the Y system, Delta2 = Delta3 = 0, Omega2 = Omega3 > 0 and
     W12 = -sqrt(Omega2^2 + Omega3^2); the table is only valid there.
     """
+    if params.system_kind is not SystemKind.Y_FOUR_LEVEL:
+        raise ParameterError(f"secular analysis needs the Y system, got "
+                             f"system_kind={params.system_kind.value}")
     if params.Delta2 != 0.0 or params.Delta3 != 0.0:
         raise ParameterError(
             f"secular analysis needs zero pump detunings, got "
             f"Delta2={params.Delta2}, Delta3={params.Delta3}"
         )
-    if not math.isclose(params.Omega2, params.Omega3, rel_tol=rtol):
+    if params.Omega2 == 0.0 or not math.isclose(params.Omega2, params.Omega3, rel_tol=rtol):
         raise ParameterError(
-            f"secular analysis needs Omega2 = Omega3, got "
-            f"{params.Omega2} != {params.Omega3}"
+            f"secular analysis needs Omega2 = Omega3 > 0, got "
+            f"Omega2={params.Omega2}, Omega3={params.Omega3}"
         )
     w_lock = -math.sqrt(params.Omega2 ** 2 + params.Omega3 ** 2)
     if not math.isclose(params.W12, w_lock, rel_tol=rtol, abs_tol=1e-12):
@@ -192,17 +157,11 @@ def secular_steady_state(table: GammaTable) -> np.ndarray:
     One redundant population row of G y = 0 is replaced by
     rho11 + rho_pp + rho_mm + rho_dd = 1.
     """
-    g = table.matrix().astype(complex)
-    a = g.copy()
+    a = table.matrix().astype(complex)
     a[3] = [1.0, 1.0, 1.0, 1.0, 0.0]
     b = np.zeros(5, dtype=complex)
     b[3] = 1.0
     return linalg.solve(a, b).real
-
-
-def coherence_from_populations(rho_mm: float, rho_pp: float) -> float:
-    """Re(rho23) = Re(rho34) ~ (rho_mm - rho_pp) / (2 sqrt(2))."""
-    return (rho_mm - rho_pp) / (2.0 * math.sqrt(2.0))
 
 
 def pump_coherence_analytic(gamma1: float, gamma3: float) -> float:

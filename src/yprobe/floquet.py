@@ -13,8 +13,6 @@ Delta1 = Delta2 + delta - W12.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import linalg
@@ -24,13 +22,6 @@ from .params import SystemParams, delta_from_delta1
 # Grid points per stacked solve.  One block's matrices take about 0.5 MB
 # (15x15); stacking a whole grid at once would grow the working set with it.
 _BLOCK = 128
-
-
-@dataclass(frozen=True)
-class SpectrumPoint:
-    delta1: float
-    chi: complex
-    slope: float
 
 
 def steady_state(liouv: LiouvillianSet) -> np.ndarray:
@@ -82,7 +73,7 @@ class ProbeResponse:
         """
         return _harmonic(self.liouv, self.r0, delta)
 
-    def _response(self, delta1):
+    def response(self, delta1) -> tuple:
         """Susceptibility and dispersion slope d Re(chi)/d Delta1 at delta1 (scalar or array)."""
         delta = delta_from_delta1(np.asarray(delta1, dtype=float),
                                   self.params.Delta2, self.params.W12)
@@ -91,18 +82,13 @@ class ProbeResponse:
         # d delta / d Delta1 = 1, so the delta-derivative is the slope.
         return gamma2 * r_plus[..., self._i13], gamma2 * d_r_plus[..., self._i13].real
 
-    def point(self, delta1: float) -> SpectrumPoint:
-        """Susceptibility and dispersion slope at one detuning."""
-        chi, slope = self._response(delta1)
-        return SpectrumPoint(float(delta1), complex(chi), float(slope))
-
 
 def susceptibility(params: SystemParams, delta1: float) -> complex:
-    return ProbeResponse(params).point(delta1).chi
+    return complex(ProbeResponse(params).response(delta1)[0])
 
 
 def dispersion_slope(params: SystemParams, delta1: float) -> float:
-    return ProbeResponse(params).point(delta1).slope
+    return float(ProbeResponse(params).response(delta1)[1])
 
 
 def group_velocity_ratio(slope_normalized: float, K: float) -> float:
@@ -110,20 +96,21 @@ def group_velocity_ratio(slope_normalized: float, K: float) -> float:
     return 1.0 + K * slope_normalized
 
 
-def probe_spectrum(params: SystemParams, delta1_values) -> list[SpectrumPoint]:
-    """Susceptibility and dispersion slope over a detuning grid, one block per stacked solve."""
+def probe_spectrum(params: SystemParams, delta1_values) -> tuple[np.ndarray, np.ndarray]:
+    """Susceptibility and dispersion slope arrays over a detuning grid, a block per solve."""
     resp = ProbeResponse(params)
-    out = []
+    chi, slope = [np.empty(0, complex)], [np.empty(0)]
     for block in _blocks(delta1_values):
-        chi, slope = resp._response(block)
-        out += map(SpectrumPoint, block.tolist(), chi.tolist(), slope.tolist())
-    return out
+        block_chi, block_slope = resp.response(block)
+        chi.append(block_chi)
+        slope.append(block_slope)
+    return np.concatenate(chi), np.concatenate(slope)
 
 
-def interference_sweep(params: SystemParams, p_grid) -> list[tuple[float, float]]:
-    """Dispersion slope at line centre versus interference strength p = cos(theta)."""
+def interference_sweep(params: SystemParams, p_grid) -> np.ndarray:
+    """Line-centre dispersion slope versus interference strength p = cos(theta), one per p."""
     delta = delta_from_delta1(0.0, params.Delta2, params.W12)
-    out = []
+    out = [np.empty(0)]
     for block in _blocks(p_grid):
         stack = []
         for p in block:
@@ -132,9 +119,8 @@ def interference_sweep(params: SystemParams, p_grid) -> list[tuple[float, float]
             stack.append(params.with_(theta_deg=float(np.degrees(np.arccos(p)))))
         liouv = build_stack(stack)
         _, d_r_plus = _harmonic(liouv, steady_state(liouv), delta)
-        slope = params.gamma2 * d_r_plus[:, liouv.index("13")].real
-        out += zip(block.tolist(), slope.tolist())
-    return out
+        out.append(params.gamma2 * d_r_plus[:, liouv.index("13")].real)
+    return np.concatenate(out)
 
 
 def pump_sweep(params: SystemParams, delta2_grid) -> np.ndarray:

@@ -9,7 +9,6 @@ rate of level i is 2*gamma_i.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields, replace
 from enum import Enum
@@ -24,32 +23,9 @@ class ParameterError(ValueError):
     """Invalid physical parameter."""
 
 
-def interference_parameter(gamma1: float, gamma2: float, theta_deg: float) -> float:
-    """Cross-damping rate sqrt(gamma1*gamma2)*cos(theta).
-
-    theta is the alignment angle between the two transition dipole moments,
-    restricted to [0, 90] degrees: parallel dipoles give maximal interference,
-    perpendicular dipoles none.
-    """
-    if gamma1 <= 0 or gamma2 <= 0:
-        raise ParameterError(f"decay rates must be positive, got {gamma1}, {gamma2}")
-    if not 0.0 <= theta_deg <= 90.0:
-        raise ParameterError(f"dipole angle must lie in [0, 90] deg, got {theta_deg}")
-    if theta_deg == 90.0:
-        # cos(radians(90)) is ~6e-17, not 0; the perpendicular case must
-        # switch the interference off exactly.
-        return 0.0
-    return math.sqrt(gamma1 * gamma2) * math.cos(math.radians(theta_deg))
-
-
 def delta_from_delta1(delta1: float, Delta2: float, W12: float) -> float:
     """Probe-pump beat detuning from the probe detuning: delta = Delta1 - Delta2 + W12."""
     return delta1 - Delta2 + W12
-
-
-def delta1_from_delta(delta: float, Delta2: float, W12: float) -> float:
-    """Inverse of :func:`delta_from_delta1`."""
-    return delta + Delta2 - W12
 
 
 @dataclass(frozen=True)
@@ -99,7 +75,16 @@ class SystemParams:
 
     @property
     def gamma12(self) -> float:
-        return interference_parameter(self.gamma1, self.gamma2, self.theta_deg)
+        """Cross-damping rate sqrt(gamma1*gamma2)*cos(theta).
+
+        Parallel dipoles (theta = 0) give maximal interference, perpendicular
+        ones none.
+        """
+        if self.theta_deg == 90.0:
+            # cos(radians(90)) is ~6e-17, not 0; the perpendicular case must
+            # switch the interference off exactly.
+            return 0.0
+        return math.sqrt(self.gamma1 * self.gamma2) * math.cos(math.radians(self.theta_deg))
 
     def with_(self, **kwargs) -> "SystemParams":
         return replace(self, **kwargs)
@@ -116,7 +101,3 @@ class SystemParams:
         if unknown:
             raise ParameterError(f"unknown parameter keys: {sorted(unknown)}")
         return cls(**data)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SystemParams":
-        return cls.from_dict(json.loads(text))

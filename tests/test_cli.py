@@ -1,9 +1,14 @@
 import json
+import math
 import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from yprobe import dressed, floquet, oracle
 from yprobe.cli import main
+from yprobe.liouvillian import build_for
 from yprobe.presets import get_preset
 
 
@@ -85,6 +90,20 @@ class TestErrorHandling:
                    "--out", str(tmp_path / "x.csv")) == 1
         assert "W12" in json.loads(capsys.readouterr().err)["message"]
 
+    @pytest.mark.parametrize("extra", [[], ["--oracle-check"]])
+    def test_dressed_evolve_rejects_v_system(self, tmp_path, capsys, extra):
+        # every lock condition holds, but the secular picture is the Y system's
+        cfg = tmp_path / "v.json"
+        data = get_preset("fig5b").params.to_dict()
+        data.update(Omega2=0.0, W12=0.0, t_max=10.0, dt=0.01, store_every=1)
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "x.csv"
+        assert run("dressed-evolve", "--config", str(cfg), *extra, "--out", str(out)) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ParameterError"
+        assert "system_kind" in record["message"]
+        assert not out.exists()
+
 
     @pytest.mark.parametrize("command,key,value", [
         ("dressed-evolve", "store_every", 0),
@@ -139,6 +158,17 @@ class TestOtherCommands:
         assert pops[0] == "delta2,rho11,rho22,rho33"
         assert cohs[0] == "delta2,re_rho23,im_rho23,re_rho34,im_rho34"
         assert len(pops) == len(cohs) == 4
+
+    def test_pump_sweeps_on_a_v_system(self, tmp_path):
+        cfg = write_config(tmp_path / "v.json", V_PUMP_RUN)
+        out = tmp_path / "pump.csv"
+        assert run("pump-sweeps", "--config", str(cfg), "--out", str(out)) == 0
+        pops = (tmp_path / "pump_populations.csv").read_text().splitlines()
+        cohs = (tmp_path / "pump_coherences.csv").read_text().splitlines()
+        assert pops[0] == "delta2,rho11,rho22"
+        assert cohs[0] == "delta2,re_rho23,im_rho23"
+        assert len(pops) == len(cohs) == 8
+        assert (tmp_path / "pump.csv.config.json").exists()
 
     def test_dressed_evolve_summary_and_oracle_column(self, tmp_path, capsys):
         cfg = tmp_path / "evolve.json"
@@ -197,10 +227,18 @@ OWN_FLAGS = {
 }
 
 
-def write_small_config(path, command):
-    preset, grid = SMALL_RUNS[command]
+# The reduced V system under a pump sweep: no preset has this grid.
+V_PUMP_RUN = ("fig5b", SMALL_RUNS["pump-sweeps"][1])
+
+
+def write_config(path, run_spec):
+    preset, grid = run_spec
     path.write_text(json.dumps({**get_preset(preset).params.to_dict(), **grid}))
     return path
+
+
+def write_small_config(path, command):
+    return write_config(path, SMALL_RUNS[command])
 
 
 def outputs(directory):
@@ -247,3 +285,98 @@ class TestConfigRoundTrip:
         assert run("dressed-evolve", "--config", str(cfg),
                    "--out", str(tmp_path / "e.csv")) == 1
         assert "oracle_check" in json.loads(capsys.readouterr().err)["message"]
+
+
+def read_columns(path):
+    """CSV columns by header name, parsed back to floats; the --json mirror must hold
+    the same rows."""
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    records = json.loads(Path(str(path) + ".json").read_text())
+    assert records == [dict(zip(header, row)) for row in rows]
+    return {name: np.array(column) for name, column in zip(header, zip(*rows))}
+
+
+def assert_columns(path, expected):
+    """Each column equals, bit for bit, the library array its header names."""
+    got = read_columns(path)
+    assert list(got) == list(expected)
+    for name, want in expected.items():
+        assert np.array_equal(got[name], want), name
+
+
+class TestColumnsMatchLibrary:
+    """Full-precision CSV round-trips, so the written columns equal the arrays exactly."""
+
+    def _run(self, tmp_path, command, run_spec, *flags):
+        cfg = write_config(tmp_path / "input.json", run_spec)
+        out = tmp_path / "out.csv"
+        assert run(command, "--config", str(cfg), "--json", *flags, "--out", str(out)) == 0
+        preset, grid = run_spec
+        return out, get_preset(preset).params, grid
+
+    def test_probe_spectrum(self, tmp_path):
+        out, params, grid = self._run(tmp_path, "probe-spectrum", SMALL_RUNS["probe-spectrum"],
+                                      "--k-value", "250")
+        delta1 = np.linspace(grid["delta1_min"], grid["delta1_max"], grid["n_points"])
+        chi, slope = floquet.probe_spectrum(params, delta1)
+        assert_columns(out, {"delta1": delta1, "re_chi": chi.real, "im_chi": chi.imag,
+                             "slope": slope,
+                             "c_over_vg": floquet.group_velocity_ratio(slope, 250.0)})
+
+    def test_interference_sweep(self, tmp_path):
+        out, params, grid = self._run(tmp_path, "interference-sweep",
+                                      SMALL_RUNS["interference-sweep"])
+        p = np.linspace(grid["p_min"], grid["p_max"], grid["n_points"])
+        assert_columns(out, {"p": p, "slope_normalized": floquet.interference_sweep(params, p)})
+
+    def test_pump_sweeps(self, tmp_path):
+        out, params, grid = self._run(tmp_path, "pump-sweeps", SMALL_RUNS["pump-sweeps"])
+        d2 = np.linspace(grid["delta2_min"], grid["delta2_max"], grid["n_points"])
+        rho = floquet.pump_sweep(params, d2)
+        assert_columns(tmp_path / "out_populations.csv",
+                       {"delta2": d2, "rho11": rho[:, 0, 0].real, "rho22": rho[:, 1, 1].real,
+                        "rho33": rho[:, 2, 2].real})
+        assert_columns(tmp_path / "out_coherences.csv",
+                       {"delta2": d2, "re_rho23": rho[:, 1, 2].real,
+                        "im_rho23": rho[:, 1, 2].imag, "re_rho34": rho[:, 2, 3].real,
+                        "im_rho34": rho[:, 2, 3].imag})
+
+    def test_pump_sweeps_v_system(self, tmp_path):
+        out, params, grid = self._run(tmp_path, "pump-sweeps", V_PUMP_RUN)
+        d2 = np.linspace(grid["delta2_min"], grid["delta2_max"], grid["n_points"])
+        rho = floquet.pump_sweep(params, d2)
+        assert rho.shape[1:] == (3, 3)
+        assert_columns(tmp_path / "out_populations.csv",
+                       {"delta2": d2, "rho11": rho[:, 0, 0].real, "rho22": rho[:, 1, 1].real})
+        assert_columns(tmp_path / "out_coherences.csv",
+                       {"delta2": d2, "re_rho23": rho[:, 1, 2].real,
+                        "im_rho23": rho[:, 1, 2].imag})
+
+    def test_dressed_evolve_with_oracle_check(self, tmp_path, capsys):
+        out, params, grid = self._run(tmp_path, "dressed-evolve", SMALL_RUNS["dressed-evolve"],
+                                      "--oracle-check")
+        summary = json.loads(capsys.readouterr().out)
+        table = dressed.secular_table_from_params(params)
+        times, states = dressed.evolve_secular(table, dressed.MIDDLE_STATE,
+                                               grid["t_max"], grid["dt"])
+        step = grid["store_every"]
+        # the oracle's bare rho11 from |3>, sampled every dt * step in whole
+        # stable substeps and interpolated onto the secular times
+        pumps = params.with_(Omega1=0.0)
+        lv = build_for(pumps)
+        init = np.zeros(lv.dim, dtype=complex)
+        init[lv.index("33")] = 1.0
+        n_per = math.ceil(grid["dt"] * step / oracle.max_stable_dt(lv, 0.0))
+        cfg = oracle.TrajectoryConfig(t_max=grid["t_max"], dt=grid["dt"] * step / n_per,
+                                      initial=init, store_every=n_per)
+        t_full, s_full = oracle.integrate_full(lv, pumps, cfg)
+        names = ["rho11", "rho_pp", "rho_mm", "rho_dd", "rho_1m"]
+        assert_columns(out, {"t": times[::step],
+                             **{name: states[::step, k] for k, name in enumerate(names)},
+                             "rho11_full": np.interp(times[::step], t_full,
+                                                     s_full[:, 0].real)})
+        steady = dressed.secular_steady_state(table)
+        assert summary["steady"] == dict(zip(names, steady.tolist()))
+        assert summary["full_me_rho11_steady"] == floquet.steady_state(lv)[0].real

@@ -84,8 +84,7 @@ class TestSusceptibility:
 
     def test_near_symmetric_doublet_without_interference(self):
         grid = np.linspace(-10, 10, 401)
-        im = np.array([pt.chi.imag for pt in
-                       floquet.probe_spectrum(FIG2A, grid)])
+        im = floquet.probe_spectrum(FIG2A, grid)[0].imag
         peak = np.abs(im).max()
         assert np.abs(im - im[::-1]).max() < 0.05 * peak
 
@@ -151,10 +150,10 @@ class TestGroupVelocityRatio:
 
 class TestSweeps:
     def test_interference_sweep_endpoints(self):
-        sweep = floquet.interference_sweep(FIG3, [0.0, 1.0])
-        assert sweep[0][1] > 0      # no interference: normal dispersion
-        assert sweep[1][1] < 0      # maximal interference: steepest anomalous
-        assert sweep[1][1] < sweep[0][1]
+        slope = floquet.interference_sweep(FIG3, [0.0, 1.0])
+        assert slope[0] > 0      # no interference: normal dispersion
+        assert slope[1] < 0      # maximal interference: steepest anomalous
+        assert slope[1] < slope[0]
 
     def test_interference_sweep_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -196,11 +195,11 @@ class TestSweeps:
 
 class TestProbeSpectrum:
     def test_point_fields(self):
-        pts = floquet.probe_spectrum(FIG2B, [0.0, 1.0])
-        assert len(pts) == 2
-        assert pts[0].delta1 == 0.0
-        assert isinstance(pts[0].chi, complex)
-        assert pts[0].slope is not None
+        chi, slope = floquet.probe_spectrum(FIG2B, [0.0, 1.0])
+        assert chi.shape == slope.shape == (2,)
+        assert chi.dtype == complex and slope.dtype == float
+        assert chi[1] == floquet.susceptibility(FIG2B, 1.0)
+        assert slope[1] == floquet.dispersion_slope(FIG2B, 1.0)
 
 
 def preset_grid(name):
@@ -223,10 +222,9 @@ class TestStackedPaths:
             r_plus, d_r_plus = resp.harmonic(d1 - p.Delta2 + p.W12)
             want_chi.append(p.gamma2 * r_plus[i13])
             want_slope.append(p.gamma2 * d_r_plus[i13].real)
-        pts = floquet.probe_spectrum(p, grid)
-        assert np.array_equal([pt.delta1 for pt in pts], grid)
-        assert np.array_equal([pt.chi for pt in pts], want_chi)
-        assert np.array_equal([pt.slope for pt in pts], want_slope)
+        chi, slope = floquet.probe_spectrum(p, grid)
+        assert np.array_equal(chi, want_chi)
+        assert np.array_equal(slope, want_slope)
 
     def test_harmonic_takes_an_array_of_detunings(self):
         resp = floquet.ProbeResponse(FIG3)
@@ -242,10 +240,8 @@ class TestStackedPaths:
         p = get_preset("fig4").params
         grid = preset_grid("fig4")
         want = [floquet.ProbeResponse(p.with_(theta_deg=float(np.degrees(np.arccos(x)))))
-                .point(0.0).slope for x in grid]
-        sweep = floquet.interference_sweep(p, grid)
-        assert np.array_equal([x for x, _ in sweep], grid)
-        assert np.array_equal([s for _, s in sweep], want)
+                .response(0.0)[1] for x in grid]
+        assert np.array_equal(floquet.interference_sweep(p, grid), want)
 
     def test_pump_sweep_matches_per_detuning(self):
         grid = preset_grid("fig8")
@@ -254,15 +250,15 @@ class TestStackedPaths:
         assert np.array_equal(floquet.pump_sweep(FIG8, grid), want)
 
     def test_empty_grids(self):
-        assert floquet.probe_spectrum(FIG2B, []) == []
-        assert floquet.interference_sweep(FIG3, []) == []
+        chi, slope = floquet.probe_spectrum(FIG2B, [])
+        assert chi.shape == slope.shape == floquet.interference_sweep(FIG3, []).shape == (0,)
         assert floquet.pump_sweep(FIG8, []).shape == (0,)
 
     def test_one_point_grids(self):
-        (pt,) = floquet.probe_spectrum(FIG5B, [0.5])
-        assert pt == floquet.ProbeResponse(FIG5B).point(0.5)
-        ((x, slope),) = floquet.interference_sweep(FIG3, [1.0])
-        assert (x, slope) == (1.0, floquet.dispersion_slope(FIG3.with_(theta_deg=0.0), 0.0))
+        (chi,), (slope,) = floquet.probe_spectrum(FIG5B, [0.5])
+        assert (chi, slope) == floquet.ProbeResponse(FIG5B).response(0.5)
+        (slope,) = floquet.interference_sweep(FIG3, [1.0])
+        assert slope == floquet.dispersion_slope(FIG3.with_(theta_deg=0.0), 0.0)
         assert floquet.pump_sweep(FIG8, [0.0]).shape == (1, 4, 4)
 
     def test_bad_p_in_a_later_block_rejected(self):
@@ -279,9 +275,9 @@ class TestStackedPaths:
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            pts = floquet.probe_spectrum(FIG2B, grid)
+            chi, slope = floquet.probe_spectrum(FIG2B, grid)
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(pts) == 20001
+        assert chi.shape == slope.shape == (20001,)
         assert peak - retained < 8 * block_bytes

@@ -4,14 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from yprobe.params import (
-    ParameterError,
-    SystemKind,
-    SystemParams,
-    delta1_from_delta,
-    delta_from_delta1,
-    interference_parameter,
-)
+from yprobe.params import ParameterError, SystemKind, SystemParams, delta_from_delta1
+
+
+def interference_parameter(gamma1, gamma2, theta_deg):
+    """The cross-damping gamma12 of a parameter set with these rates and dipole angle."""
+    return SystemParams(gamma1=gamma1, gamma2=gamma2, gamma3=1.0, theta_deg=theta_deg,
+                        W12=0.0, Omega1=0.0, Omega2=0.0, Omega3=0.0).gamma12
 
 
 class TestInterferenceParameter:
@@ -55,12 +54,6 @@ class TestDetuningConversion:
     def test_examples(self, delta1, D2, W12, expected):
         assert delta_from_delta1(delta1, D2, W12) == expected
 
-    def test_roundtrip(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            d1, d2, w = rng.uniform(-20, 20, size=3)
-            assert delta1_from_delta(delta_from_delta1(d1, d2, w), d2, w) == pytest.approx(d1, abs=1e-12)
-
 
 class TestSystemParams:
     def _valid(self, **kw):
@@ -94,7 +87,7 @@ class TestSystemParams:
 
     def test_json_roundtrip(self):
         p = SystemParams(**self._valid(system_kind=SystemKind.V_THREE_LEVEL))
-        q = SystemParams.from_json(json.dumps(p.to_dict()))
+        q = SystemParams.from_dict(json.loads(json.dumps(p.to_dict())))
         assert q == p
 
     def test_with_override(self):
