@@ -86,7 +86,7 @@ def _resolve_config(args, command: str) -> tuple[SystemParams, dict]:
     missing = set(grid_keys) - set(grid)
     if missing:
         raise ParameterError(f"missing grid fields for {command}: {sorted(missing)}")
-    for key in grid_keys:
+    for key in (*grid_keys, *(["k_value"] if grid.get("k_value") is not None else [])):
         value = grid[key]
         if key in ("n_points", "store_every"):
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:

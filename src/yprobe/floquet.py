@@ -5,10 +5,10 @@ The periodically driven solution is expanded into probe harmonics,
     R(t) = R0 + Omega1 * Rp * exp(-i(delta t - Phi))
               + Omega1 * Rm * exp(+i(delta t - Phi)) + O(Omega1^2),
 
-and truncated at first order in the probe.  The probe susceptibility is
-gamma2 times the rho13 component of Rp; Rm never enters it and is not
-computed.  All spectra are reported against the probe detuning
-Delta1 = Delta2 + delta - W12.
+and truncated at first order in the probe: (M0 + i delta) Rp = Sigma_+ - M_+ R0.
+The susceptibility is gamma2 times the rho13 component of Rp (Rm never enters
+it and is not computed).  Spectra solve in the eigenbasis of M0, the sweeps by
+stacked LU.  All are reported against the probe detuning Delta1 = Delta2 + delta - W12.
 """
 
 from __future__ import annotations
@@ -22,6 +22,9 @@ from .params import SystemParams, delta_from_delta1
 # Grid points per stacked solve.  One block's matrices take about 0.5 MB
 # (15x15); stacking a whole grid at once would grow the working set with it.
 _BLOCK = 128
+
+# cond(V), M0 = V diag(lam) V^-1, beyond which ProbeResponse solves by LU (presets: <= 5)
+_MAX_EIGVEC_COND = 1e4
 
 
 def steady_state(liouv: LiouvillianSet) -> np.ndarray:
@@ -38,25 +41,30 @@ def _blocks(values) -> list:
     return [values[i:i + _BLOCK] for i in range(0, len(values), _BLOCK)]
 
 
-def _harmonic(liouv: LiouvillianSet, r0: np.ndarray, delta) -> tuple:
-    """Rp and dRp/d delta of a generator (or a stack) with steady state r0.
+def _drive(liouv: LiouvillianSet, r0: np.ndarray) -> np.ndarray:
+    """b = Sigma_+ - M_+ R0, the right-hand side of the first-order harmonic."""
+    return liouv.sigma1 - (liouv.m1 @ r0[..., None])[..., 0]
 
-    With A = M0 + i delta and b = Sigma_+ - M_+ R0, Rp = A^-1 b and,
-    since dA^-1/d delta = -i A^-2, dRp/d delta = -i A^-1 Rp exactly.
-    delta is a scalar or an array broadcast against the stack of M0.
+
+def _harmonic(liouv: LiouvillianSet, r0: np.ndarray, delta) -> tuple:
+    """Rp and dRp/d delta of a generator (or a stack) with steady state r0, by LU.
+
+    With A = M0 + i delta and b = Sigma_+ - M_+ R0, Rp = A^-1 b and, since
+    dA^-1/d delta = -i A^-2, dRp/d delta = -i A^-1 Rp exactly; one LU of A
+    serves both.  delta is a scalar or an array broadcast against M0.
     """
-    b = liouv.sigma1 - (liouv.m1 @ r0[..., None])[..., 0]
-    a = liouv.m0 + (1j * np.asarray(delta, dtype=float))[..., None, None] * np.eye(liouv.dim)
-    r_plus = linalg.solve(a, b)
-    return r_plus, -1j * linalg.solve(a, r_plus)
+    lu = linalg.LU(liouv.m0 + (1j * np.asarray(delta, dtype=float))[..., None, None]
+                   * np.eye(liouv.dim))
+    r_plus = lu.solve(_drive(liouv, r0))
+    return r_plus, -1j * lu.solve(r_plus)
 
 
 class ProbeResponse:
     """The linear-response core: one generator and steady state per parameter set.
 
     Every susceptibility, dispersion slope and spectrum is read from
-    :meth:`harmonic`, so the generator is built and R0 solved once however
-    many detunings are asked for.
+    :meth:`harmonic`, so the generator is built, R0 solved and M0
+    diagonalized once however many detunings are asked for.
     """
 
     def __init__(self, params: SystemParams):
@@ -64,14 +72,50 @@ class ProbeResponse:
         self.liouv = build_for(params)
         self.r0 = steady_state(self.liouv)
         self._i13 = self.liouv.index("13")
+        self._b = _drive(self.liouv, self.r0)
+        lam, vec = np.linalg.eig(self.liouv.m0)
+        vinv = np.linalg.inv(vec) if np.linalg.cond(vec) <= _MAX_EIGVEC_COND else None
+        self._modes = None if vinv is None else (lam, vec, vinv, vinv @ self._b)
 
+    @np.errstate(all="ignore")  # detunings the eigenbasis cannot take are flagged below
     def harmonic(self, delta) -> tuple[np.ndarray, np.ndarray]:
         """First-order harmonic Rp at beat detuning delta, and dRp/d delta.
 
-        delta is a scalar, or an array whose shape leads the returned
-        stacks; all its detunings are solved in one stacked call.
+        delta is a scalar, or an array whose shape leads the returned stacks.
+        Each A x = y, A = M0 + i delta, is solved as x = V (V^-1 y)/(lam + i delta)
+        plus one such correction for the residual y - A x, stacked per detuning
+        so that none depends on the others.  Stacked LU, with its errors, takes
+        detunings that are not finite, near an eigenvalue by linalg's pivot test
+        or above its residual bound, and all of them if V is ill-conditioned.
         """
-        return _harmonic(self.liouv, self.r0, delta)
+        delta = np.asarray(delta, dtype=float)
+        if self._modes is None:
+            return _harmonic(self.liouv, self.r0, delta)
+        lam, vec, vinv, modal_b = self._modes
+        m0, flat = self.liouv.m0, delta.reshape(-1)
+        shift = 1j * flat[:, None]
+        poles = lam + shift
+
+        def apply(m, x):
+            return (np.broadcast_to(m, x.shape[:1] + m.shape) @ x[..., None])[..., 0]
+
+        def solve(y, modal_y):
+            x = apply(vec, modal_y / poles)
+            x = x + apply(vec, apply(vinv, y - apply(m0, x) - shift * x) / poles)
+            residual = np.abs(y - apply(m0, x) - shift * x).max(axis=-1)
+            return x, residual <= linalg.RESIDUAL_RTOL * (1.0 + np.abs(y).max(axis=-1))
+
+        r_plus, ok_r = solve(np.broadcast_to(self._b, poles.shape),
+                             np.broadcast_to(modal_b, poles.shape))
+        s, ok_s = solve(r_plus, apply(vinv, r_plus))
+        d_r_plus = -1j * s
+        # scale >= max|A| as in the pivot test; a non-finite delta fails on its NaN residual
+        scale = np.abs(m0).max() + np.abs(flat)
+        ok = ok_r & ok_s & (np.abs(poles).min(axis=-1) >= linalg.PIVOT_RTOL * scale)
+        if not ok.all():  # LU raises as it always has, indexed into delta
+            lu = _harmonic(self.liouv, self.r0, delta)
+            r_plus[~ok], d_r_plus[~ok] = (x.reshape(r_plus.shape)[~ok] for x in lu)
+        return tuple(x.reshape(delta.shape + lam.shape) for x in (r_plus, d_r_plus))
 
     def response(self, delta1) -> tuple:
         """Susceptibility and dispersion slope d Re(chi)/d Delta1 at delta1 (scalar or array)."""
@@ -99,12 +143,9 @@ def group_velocity_ratio(slope_normalized: float, K: float) -> float:
 def probe_spectrum(params: SystemParams, delta1_values) -> tuple[np.ndarray, np.ndarray]:
     """Susceptibility and dispersion slope arrays over a detuning grid, a block per solve."""
     resp = ProbeResponse(params)
-    chi, slope = [np.empty(0, complex)], [np.empty(0)]
-    for block in _blocks(delta1_values):
-        block_chi, block_slope = resp.response(block)
-        chi.append(block_chi)
-        slope.append(block_slope)
-    return np.concatenate(chi), np.concatenate(slope)
+    parts = [(np.empty(0, complex), np.empty(0))]
+    parts += [resp.response(block) for block in _blocks(delta1_values)]
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def interference_sweep(params: SystemParams, p_grid) -> np.ndarray:
@@ -112,12 +153,11 @@ def interference_sweep(params: SystemParams, p_grid) -> np.ndarray:
     delta = delta_from_delta1(0.0, params.Delta2, params.W12)
     out = [np.empty(0)]
     for block in _blocks(p_grid):
-        stack = []
-        for p in block:
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"interference parameter p must lie in [0, 1], got {p}")
-            stack.append(params.with_(theta_deg=float(np.degrees(np.arccos(p)))))
-        liouv = build_stack(stack)
+        bad = block[~((block >= 0.0) & (block <= 1.0))]
+        if bad.size:
+            raise ValueError(f"interference parameter p must lie in [0, 1], got {bad[0]}")
+        liouv = build_stack(params.with_(theta_deg=float(np.degrees(np.arccos(p))))
+                            for p in block)
         _, d_r_plus = _harmonic(liouv, steady_state(liouv), delta)
         out.append(params.gamma2 * d_r_plus[:, liouv.index("13")].real)
     return np.concatenate(out)

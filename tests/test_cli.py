@@ -138,6 +138,23 @@ class TestErrorHandling:
         assert record["error"] == "ParameterError"
         assert key in record["message"]
 
+    @pytest.mark.parametrize("flag,config_value", [
+        (["--k-value", "nan"], None),
+        (["--k-value", "inf"], None),
+        ([], "250"),
+        ([], True),
+    ])
+    def test_k_value_must_be_a_finite_number(self, tmp_path, capsys, flag, config_value):
+        cfg = write_small_config(tmp_path / "input.json", "probe-spectrum")
+        if config_value is not None:
+            cfg.write_text(json.dumps(dict(json.loads(cfg.read_text()), k_value=config_value)))
+        out = tmp_path / "x.csv"
+        assert run("probe-spectrum", "--config", str(cfg), *flag, "--out", str(out)) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ParameterError"
+        assert "k_value" in record["message"]
+        assert not out.exists() and not (tmp_path / "x.csv.config.json").exists()
+
 
 class TestOtherCommands:
     def test_interference_sweep(self, tmp_path):

@@ -1,12 +1,16 @@
+import dataclasses
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from yprobe import floquet
+from yprobe import floquet, linalg
 from yprobe.liouvillian import build_for, build_liouvillian, hermitian_reconstruct
-from yprobe.params import SystemKind, SystemParams
+from yprobe.params import SystemKind, SystemParams, delta_from_delta1
 from yprobe.presets import PRESETS, get_preset
 
 FIG2A = get_preset("fig2a").params
@@ -202,6 +206,14 @@ class TestProbeSpectrum:
         assert slope[1] == floquet.dispersion_slope(FIG2B, 1.0)
 
 
+def lu_slope(p, delta1):
+    """The dispersion slope from one per-point stacked-LU solve, the sweeps' path."""
+    lv = build_for(p)
+    _, d_r_plus = floquet._harmonic(lv, floquet.steady_state(lv),
+                                    delta_from_delta1(delta1, p.Delta2, p.W12))
+    return p.gamma2 * d_r_plus[lv.index("13")].real
+
+
 def preset_grid(name):
     lo, hi, n = PRESETS[name].grid.values()
     return np.linspace(lo, hi, n)
@@ -239,8 +251,8 @@ class TestStackedPaths:
     def test_interference_sweep_matches_per_theta(self):
         p = get_preset("fig4").params
         grid = preset_grid("fig4")
-        want = [floquet.ProbeResponse(p.with_(theta_deg=float(np.degrees(np.arccos(x)))))
-                .response(0.0)[1] for x in grid]
+        want = [lu_slope(p.with_(theta_deg=float(np.degrees(np.arccos(x)))), 0.0)
+                for x in grid]
         assert np.array_equal(floquet.interference_sweep(p, grid), want)
 
     def test_pump_sweep_matches_per_detuning(self):
@@ -258,7 +270,7 @@ class TestStackedPaths:
         (chi,), (slope,) = floquet.probe_spectrum(FIG5B, [0.5])
         assert (chi, slope) == floquet.ProbeResponse(FIG5B).response(0.5)
         (slope,) = floquet.interference_sweep(FIG3, [1.0])
-        assert slope == floquet.dispersion_slope(FIG3.with_(theta_deg=0.0), 0.0)
+        assert slope == lu_slope(FIG3.with_(theta_deg=0.0), 0.0)
         assert floquet.pump_sweep(FIG8, [0.0]).shape == (1, 4, 4)
 
     def test_bad_p_in_a_later_block_rejected(self):
@@ -281,3 +293,116 @@ class TestStackedPaths:
             tracemalloc.stop()
         assert chi.shape == slope.shape == (20001,)
         assert peak - retained < 8 * block_bytes
+
+
+def mp_reference(p, delta1):
+    """chi and slope at delta1 from 40-digit solves on the float generator."""
+    lv = build_for(p)
+    with mpmath.workdps(40):
+        m0 = mpmath.matrix(lv.m0.tolist())
+        r0 = mpmath.lu_solve(m0, mpmath.matrix(lv.sigma.tolist()))
+        b = mpmath.matrix(lv.sigma1.tolist()) - mpmath.matrix(lv.m1.tolist()) * r0
+        delta = delta_from_delta1(delta1, p.Delta2, p.W12)
+        a = m0 + mpmath.mpc(0, delta) * mpmath.eye(lv.dim)
+        r_plus = mpmath.lu_solve(a, b)
+        s = mpmath.lu_solve(a, r_plus)   # dRp/d delta = -i s
+        i13 = lv.index("13")
+        return complex(p.gamma2 * r_plus[i13]), float((p.gamma2 * s[i13]).imag)
+
+
+def with_m0(monkeypatch, m0):
+    """A ProbeResponse on fig2b's generator with M0 replaced by m0."""
+    lv = dataclasses.replace(build_for(FIG2B), m0=np.asarray(m0, dtype=complex))
+    monkeypatch.setattr(floquet, "build_for", lambda params: lv)
+    return floquet.ProbeResponse(FIG2B)
+
+
+PARAMS = st.builds(
+    SystemParams, gamma1=st.floats(0.05, 2.0), gamma2=st.just(1.0),
+    gamma3=st.floats(0.05, 2.0), theta_deg=st.floats(0.0, 90.0), W12=st.floats(-5.0, 5.0),
+    Omega1=st.just(1e-3), Omega2=st.floats(0.1, 5.0), Omega3=st.floats(0.1, 5.0),
+    Delta2=st.floats(-3.0, 3.0), Delta3=st.floats(-3.0, 3.0),
+    system_kind=st.sampled_from(list(SystemKind)))
+
+
+class TestModalCore:
+    """Spectra solve in the eigenbasis of M0; LU takes what that path cannot."""
+
+    @pytest.mark.parametrize("name,delta1", [
+        ("fig2b", 0.0), ("fig2b", 3.97), ("fig2b", -3.97),
+        ("fig2b", 0.04),   # |chi| = 1.4e-4 in the transparent window: the poles cancel
+        ("fig2a", 0.04),
+    ])
+    def test_matches_40_digit_solve(self, name, delta1):
+        want_chi, want_slope = mp_reference(PRESETS[name].params, delta1)
+        (chi,), (slope,) = floquet.probe_spectrum(PRESETS[name].params, [delta1])
+        assert abs(chi - want_chi) <= 1e-12 * abs(want_chi)
+        assert abs(slope - want_slope) <= 1e-12 * abs(want_slope)
+
+    def test_spectra_need_no_lu(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("stacked LU called")
+        monkeypatch.setattr(floquet, "_harmonic", refuse)
+        for name in SPECTRUM_PRESETS:
+            floquet.probe_spectrum(PRESETS[name].params, preset_grid(name))
+
+    def test_ill_conditioned_eigenbasis_takes_the_lu_path(self, monkeypatch):
+        # A near-Jordan block: eigenvalues -1 +- 1e-7 with almost parallel eigenvectors.
+        m0 = np.diag(-0.5 * np.arange(1, 16)) + 0j
+        m0[0, 1], m0[1, 0], m0[1, 1] = 1.0, 1e-14, -0.5
+        resp = with_m0(monkeypatch, m0)
+        assert np.linalg.cond(np.linalg.eig(m0)[1]) > floquet._MAX_EIGVEC_COND
+        assert resp._modes is None
+        deltas = np.linspace(-3.0, 3.0, 11)
+        got = resp.harmonic(deltas)
+        want = floquet._harmonic(resp.liouv, resp.r0, deltas)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_nonfinite_detuning_raises_as_lu_does(self):
+        with pytest.raises(ValueError) as err:
+            floquet.probe_spectrum(FIG2B, [0.0, np.nan, 1.0])
+        assert str(err.value) == "a[1]: matrix has non-finite entries"
+        grid = np.append(np.linspace(0.0, 1.0, floquet._BLOCK + 2), np.inf)
+        with pytest.raises(ValueError) as err:
+            floquet.probe_spectrum(FIG2B, grid)
+        assert str(err.value) == "a[2]: matrix has non-finite entries"   # block-relative
+        with pytest.raises(ValueError) as err:
+            floquet.susceptibility(FIG2B, np.nan)
+        assert str(err.value) == "matrix has non-finite entries"
+
+    def test_singular_shift_raises_as_lu_does(self, monkeypatch):
+        # M0 with an undamped mode at eigenvalue 2i: A = M0 + i delta is singular at delta = -2.
+        resp = with_m0(monkeypatch, np.diag(np.append(-0.5 * np.arange(1, 15), 2j)))
+        for delta in (-2.0, np.array([0.0, -2.0, 1.0])):
+            with pytest.raises(linalg.SingularMatrixError) as got:
+                resp.harmonic(delta)
+            with pytest.raises(linalg.SingularMatrixError) as want:
+                floquet._harmonic(resp.liouv, resp.r0, delta)
+            assert str(got.value) == str(want.value)
+            assert got.value.matrix_index == want.value.matrix_index
+        assert str(got.value).startswith("a[1]: matrix numerically singular: |pivot[14]| = 0.000e+00")
+        # a finite neighbour of the pole is solved, and agrees with LU
+        got = resp.harmonic(-2.0 + 1e-6)
+        want = floquet._harmonic(resp.liouv, resp.r0, -2.0 + 1e-6)
+        assert np.abs(got[0] - want[0]).max() <= 1e-12 * np.abs(want[0]).max()
+
+    @settings(max_examples=40, deadline=None)
+    @given(PARAMS)
+    def test_agrees_with_lu_on_random_parameters(self, p):
+        resp = floquet.ProbeResponse(p)
+        deltas = np.linspace(-10.0, 10.0, 41)
+        r_plus, d_r_plus = resp.harmonic(deltas)
+        want, d_want = floquet._harmonic(resp.liouv, resp.r0, deltas)
+        # Relative to each row's largest element: chi itself vanishes by
+        # symmetry at some draws (gamma1 = gamma2, theta = 0, delta = 0).
+        i13 = resp.liouv.index("13")
+        scale = np.abs(want).max(axis=-1)
+        assert np.all(np.abs(r_plus[:, i13] - want[:, i13]) <= 1e-12 * scale)
+        # The slope solves with A twice, so both paths lose digits in
+        # proportion to the condition number kappa of A = M0 + i delta.  It
+        # reaches 4e4 at a nearly undamped mode (V system, theta = 0,
+        # gamma1 = gamma2), where the two slopes differ by ~1e-10.
+        poles = np.abs(np.linalg.eigvals(resp.liouv.m0) + 1j * deltas[:, None])
+        kappa = poles.max(axis=-1) / poles.min(axis=-1)
+        d_scale = np.abs(d_want).max(axis=-1)
+        assert np.all(np.abs(d_r_plus[:, i13] - d_want[:, i13]) <= 1e-12 * kappa * d_scale)

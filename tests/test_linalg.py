@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from yprobe.linalg import SingularMatrixError, solve
+from yprobe.linalg import LU, SingularMatrixError, solve
 
 
 class TestSolve:
@@ -137,3 +137,25 @@ class TestStackedSolve:
     def test_vector_rejected_as_matrix(self):
         with pytest.raises(ValueError, match="matrix"):
             solve(np.ones(3), np.ones(3))
+
+
+class TestFactorOnce:
+    def test_repeated_solves_equal_fresh_factorizations(self):
+        rng = np.random.default_rng(8)
+        a = well_conditioned_stack(rng, (5,), 15)
+        b = rng.normal(size=(5, 15)) + 1j * rng.normal(size=(5, 15))
+        lu = LU(a)
+        x = lu.solve(b)
+        assert np.array_equal(x, solve(a, b))
+        assert np.array_equal(lu.solve(x), solve(a, x))
+
+    def test_every_solve_is_residual_checked(self):
+        rng = np.random.default_rng(0)
+        a = well_conditioned_stack(rng, (3,), 4)
+        a[1] = near_singular(rng, 4)
+        # b = a @ 1 is solved accurately; its solution, as a new right-hand
+        # side, brings out the near-singular direction of a[1]
+        lu = LU(a)
+        x = lu.solve((a @ np.ones((3, 4, 1)))[..., 0])
+        with pytest.raises(np.linalg.LinAlgError, match=r"a\[1\]: solve residual"):
+            lu.solve(x)
