@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg
 from .liouvillian import LiouvillianSet, build_for, build_stack, hermitian_reconstruct
-from .params import SystemParams, delta_from_delta1
+from .params import SystemParams, _check_fields, delta_from_delta1
 
 # Grid points per stacked solve.  One block's matrices take about 0.5 MB
 # (15x15); stacking a whole grid at once would grow the working set with it.
@@ -150,14 +150,14 @@ def probe_spectrum(params: SystemParams, delta1_values) -> tuple[np.ndarray, np.
 
 def interference_sweep(params: SystemParams, p_grid) -> np.ndarray:
     """Line-centre dispersion slope versus interference strength p = cos(theta), one per p."""
+    p_grid = np.asarray(p_grid, dtype=float)
+    bad = p_grid[~((p_grid >= 0.0) & (p_grid <= 1.0))]
+    if bad.size:
+        raise ValueError(f"interference parameter p must lie in [0, 1], got {bad[0]}")
     delta = delta_from_delta1(0.0, params.Delta2, params.W12)
     out = [np.empty(0)]
     for block in _blocks(p_grid):
-        bad = block[~((block >= 0.0) & (block <= 1.0))]
-        if bad.size:
-            raise ValueError(f"interference parameter p must lie in [0, 1], got {bad[0]}")
-        liouv = build_stack(params.with_(theta_deg=float(np.degrees(np.arccos(p))))
-                            for p in block)
+        liouv = build_stack(params, theta_deg=np.degrees(np.arccos(block)))
         _, d_r_plus = _harmonic(liouv, steady_state(liouv), delta)
         out.append(params.gamma2 * d_r_plus[:, liouv.index("13")].real)
     return np.concatenate(out)
@@ -169,9 +169,9 @@ def pump_sweep(params: SystemParams, delta2_grid) -> np.ndarray:
     The probe is off (Omega1 = 0) and Delta3 = -Delta2 is enforced pointwise.
     Returns one reconstructed density matrix per grid point, stacked.
     """
+    _check_fields({"Delta2": np.asarray(delta2_grid, dtype=float)})
     out = []
     for block in _blocks(delta2_grid):
-        liouv = build_stack(params.with_(Omega1=0.0, Delta2=d2, Delta3=-d2)
-                            for d2 in block.tolist())
+        liouv = build_stack(params, Delta2=block, Delta3=-block)
         out.append(hermitian_reconstruct(steady_state(liouv)))
     return np.concatenate(out) if out else np.array([])

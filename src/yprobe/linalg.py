@@ -1,10 +1,10 @@
 """Dense complex linear algebra for the small (8x8 / 15x15) generator systems.
 
-A thin, validated wrapper around LAPACK via scipy: LU with partial
-pivoting and explicit singularity detection, factored once for any number
-of residual-checked solves, for one matrix or a stack of them.  Matrices
-and vectors are plain complex numpy arrays.  power_orbit walks the powers
-of one matrix applied to a vector, for the fixed-step time integrators.
+A thin, validated wrapper around LAPACK getrf/getrs, one call per matrix:
+LU with partial pivoting and explicit singularity detection, factored once
+for any number of residual-checked solves, for one matrix or a stack of
+them.  Matrices and vectors are plain complex numpy arrays.  power_orbit
+walks the powers of one matrix applied to a vector, for the time steppers.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ import scipy.linalg
 
 RESIDUAL_RTOL = 1e-10
 PIVOT_RTOL = 1e-14
+
+_GETRF, _GETRS = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), dtype=complex)
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -47,10 +49,11 @@ def _first(flags: np.ndarray) -> tuple:
 class LU:
     """A checked LU factorization (partial pivoting) of one matrix or a stack.
 
-    a has shape (..., n, n) and is factored by one batched scipy call.
-    Each matrix is checked on its own: non-finite entries raise ValueError,
-    a pivot below PIVOT_RTOL * max|a_k| raises SingularMatrixError (carrying
-    the pivot and the matrix index).  solve() reuses the factors.
+    a has shape (..., n, n); each matrix is factored by one getrf call, as
+    scipy.linalg.lu_factor would, into factors = (lu, piv) along one leading
+    axis.  Each is checked on its own: non-finite entries raise ValueError, a
+    pivot that is 0 or below PIVOT_RTOL * max|a_k| raises SingularMatrixError
+    (carrying the pivot and the matrix index).  solve() reuses the factors.
     """
 
     def __init__(self, a):
@@ -62,10 +65,16 @@ class LU:
         if not np.isfinite(a).all():
             bad = ~np.isfinite(a).all(axis=(-2, -1))
             raise ValueError(f"{_where(_first(bad))}matrix has non-finite entries")
-        self.factors = scipy.linalg.lu_factor(a, check_finite=False)
-        pivots = np.abs(np.diagonal(self.factors[0], axis1=-2, axis2=-1))
+        lu = a.reshape((-1,) + a.shape[-2:]).swapaxes(1, 2).copy().swapaxes(1, 2)
+        piv = np.empty(lu.shape[:-1], dtype=np.int32)
+        for k, m in enumerate(lu):
+            lu[k], piv[k], info = _GETRF(m, overwrite_a=True)
+            if info < 0:
+                raise ValueError(f"getrf: illegal value in argument {-info}")
+        self.factors = lu, piv
+        pivots = np.abs(np.diagonal(lu, axis1=-2, axis2=-1)).reshape(a.shape[:-1])
         threshold = PIVOT_RTOL * np.abs(a).max(axis=(-2, -1))
-        small = pivots < threshold[..., None]
+        small = (pivots < threshold[..., None]) | (pivots == 0.0)
         if small.any():
             *index, k = _first(small)
             index = tuple(index)
@@ -85,8 +94,14 @@ class LU:
         if not np.isfinite(b).all():
             bad = ~np.isfinite(b).all(axis=-1)
             raise ValueError(f"{_where(_first(bad))}vector has non-finite entries")
-        x = scipy.linalg.lu_solve(self.factors, b[..., None], check_finite=False)
-        residual = np.abs(a @ x - b[..., None]).max(axis=(-2, -1))
+        x = np.empty(a.shape[:-1], dtype=complex)
+        rhs = np.broadcast_to(b, x.shape).reshape(-1, a.shape[-1])
+        flat_x = x.reshape(rhs.shape)
+        for k, (lu, piv) in enumerate(zip(*self.factors)):
+            flat_x[k], info = _GETRS(lu, piv, rhs[k])
+            if info < 0:
+                raise ValueError(f"getrs: illegal value in argument {-info}")
+        residual = np.abs(a @ x[..., None] - b[..., None]).max(axis=(-2, -1))
         bound = RESIDUAL_RTOL * (1.0 + np.abs(b).max(axis=-1))
         over = residual > bound
         if over.any():
@@ -95,7 +110,7 @@ class LU:
                 f"{_where(index)}solve residual {residual[index]:.3e} exceeds tolerance "
                 f"{np.broadcast_to(bound, over.shape)[index]:.3e}"
             )
-        return x[..., 0]
+        return x
 
 
 def solve(a, b) -> np.ndarray:

@@ -33,7 +33,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .params import ParameterError, SystemKind, SystemParams
+from .params import (_FLOAT_FIELDS, ParameterError, SystemKind, SystemParams, _check_fields,
+                     _cross_damping)
 
 Y_LABELS = (
     "11", "22", "33", "12", "13", "23", "14", "24", "34",
@@ -114,8 +115,9 @@ def _v_generator(g1, g2, g12, W, D2, O2):
 class _System(NamedTuple):
     """Element ordering and generator pieces of one system.
 
-    pieces[j] is M0 per unit of names[j] with Sigma appended as a last row;
-    probe holds M1 and Mm1 stacked the same way on Sigma1 and Sigma-1.
+    pieces[j] is M0 per unit of names[j] with Sigma appended as a last row,
+    and terms[j] its nonzero entries as (flat indices, values); probe holds
+    M1 and Mm1 stacked the same way on Sigma1 and Sigma-1.
     """
 
     labels: tuple
@@ -123,6 +125,7 @@ class _System(NamedTuple):
     size: int
     rows: np.ndarray
     pieces: np.ndarray
+    terms: tuple
     probe: tuple
 
 
@@ -139,9 +142,10 @@ def _derive(labels: tuple, names: tuple, generator) -> _System:
         return np.vstack([lv[rows] @ q, -lv[rows, ground]])
 
     pieces = np.array([project(generator(*unit)) for unit in np.eye(len(names))])
+    terms = tuple((np.flatnonzero(p), p[p != 0]) for p in pieces)
     probe = tuple(project(_superoperator(-_ket_bra(size, i, j), []))
                   for i, j in ((1, 3), (3, 1)))
-    return _System(labels, names, size, rows, pieces, probe)
+    return _System(labels, names, size, rows, pieces, terms, probe)
 
 
 _Y = _derive(Y_LABELS, ("gamma1", "gamma2", "gamma3", "gamma12", "W12",
@@ -150,34 +154,34 @@ _V = _derive(V_LABELS, ("gamma1", "gamma2", "gamma12", "W12", "Delta2", "Omega2"
              _v_generator)
 
 
-def _weights(system: _System, params: SystemParams) -> np.ndarray:
-    return np.array([getattr(params, name) for name in system.names])
-
-
 def _assemble(system: _System, weights: np.ndarray) -> LiouvillianSet:
     """The generator at weights (one value per name), or a stack of them for (k, names)."""
     # Each product is exact (the pieces hold small integers) and the sum runs
-    # in the fixed order of names, so (W - D2) - D3 rounds as written.
+    # in the fixed order of names, so (W - D2) - D3 rounds as written.  Adding
+    # only nonzero entries changes no bit: from +0, the sum never reaches -0.
     acc = np.zeros(weights.shape[:-1] + system.pieces.shape[1:], dtype=complex)
-    for w, piece in zip(np.moveaxis(weights, -1, 0), system.pieces):
-        acc += w[..., None, None] * piece
+    flat = acc.reshape(weights.shape[:-1] + (-1,))
+    for w, (index, values) in zip(np.moveaxis(weights, -1, 0)[..., None], system.terms):
+        flat[..., index] += w * values
     plus, minus = (np.array(p) for p in system.probe)
     return LiouvillianSet(acc[..., :-1, :], plus[:-1], minus[:-1],
                           acc[..., -1, :], plus[-1], minus[-1], system.labels)
 
 
+def _build(params: SystemParams, kind: SystemKind, system: _System) -> LiouvillianSet:
+    if params.system_kind is not kind:
+        raise ParameterError(f"expected {kind.value} params, got {params.system_kind}")
+    return _assemble(system, np.array([getattr(params, name) for name in system.names]))
+
+
 def build_liouvillian(params: SystemParams) -> LiouvillianSet:
     """15-dimensional generator of the full four-level Y system."""
-    if params.system_kind is not SystemKind.Y_FOUR_LEVEL:
-        raise ParameterError(f"expected Y_FOUR_LEVEL params, got {params.system_kind}")
-    return _assemble(_Y, _weights(_Y, params))
+    return _build(params, SystemKind.Y_FOUR_LEVEL, _Y)
 
 
 def build_v_liouvillian(params: SystemParams) -> LiouvillianSet:
     """8-dimensional generator of the reduced three-level V system."""
-    if params.system_kind is not SystemKind.V_THREE_LEVEL:
-        raise ParameterError(f"expected V_THREE_LEVEL params, got {params.system_kind}")
-    return _assemble(_V, _weights(_V, params))
+    return _build(params, SystemKind.V_THREE_LEVEL, _V)
 
 
 def build_for(params: SystemParams) -> LiouvillianSet:
@@ -186,20 +190,27 @@ def build_for(params: SystemParams) -> LiouvillianSet:
     return build_v_liouvillian(params)
 
 
-def build_stack(params_seq) -> LiouvillianSet:
-    """Generators of a sequence of parameter sets of one system, built at once.
+def build_stack(params: SystemParams, **columns) -> LiouvillianSet:
+    """Generators of params with float fields swept by 1-d columns of one length k.
 
-    m0 and sigma gain a leading axis with one entry per parameter set, each
-    bit-equal to build_for(p); the probe pieces depend on no parameter and
-    are shared by the whole stack.
+    build_stack(p, Delta2=d, Delta3=-d) gives m0 and sigma a leading axis whose
+    entry i is bit-equal to build_for(p.with_(Delta2=d[i], Delta3=-d[i])).  The
+    columns pass the checks of SystemParams; unused fields are then ignored.
     """
-    params_seq = list(params_seq)
-    kinds = {p.system_kind for p in params_seq}
-    if len(kinds) != 1:
-        raise ParameterError(
-            f"expected parameter sets of one system kind, got {sorted(kinds)}")
-    system = _Y if kinds.pop() is SystemKind.Y_FOUR_LEVEL else _V
-    return _assemble(system, np.array([_weights(system, p) for p in params_seq]))
+    if not set(columns) <= set(_FLOAT_FIELDS):
+        raise ParameterError(f"cannot sweep {sorted(set(columns) - set(_FLOAT_FIELDS))}")
+    columns = {name: np.asarray(v, dtype=float) for name, v in columns.items()}
+    shapes = {name: v.shape for name, v in columns.items()}
+    if len(set(shapes.values())) != 1 or len(shape := next(iter(shapes.values()))) != 1:
+        raise ParameterError(f"expected 1-d columns of one length, got shapes {shapes}")
+    _check_fields(columns)
+    values = {name: np.broadcast_to(columns.get(name, getattr(params, name)), shape)
+              for name in _FLOAT_FIELDS + ("gamma12",)}
+    if columns.keys() & {"gamma1", "gamma2", "theta_deg"}:
+        values["gamma12"] = [_cross_damping(*row) for row in zip(
+            *(values[name].tolist() for name in ("gamma1", "gamma2", "theta_deg")))]
+    system = _Y if params.system_kind is SystemKind.Y_FOUR_LEVEL else _V
+    return _assemble(system, np.stack([values[name] for name in system.names], axis=-1))
 
 
 def hermitian_reconstruct(v: np.ndarray) -> np.ndarray:

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 
+import numpy as np
+
 
 class SystemKind(str, Enum):
     Y_FOUR_LEVEL = "Y_FOUR_LEVEL"
@@ -26,6 +28,12 @@ class ParameterError(ValueError):
 def delta_from_delta1(delta1: float, Delta2: float, W12: float) -> float:
     """Probe-pump beat detuning from the probe detuning: delta = Delta1 - Delta2 + W12."""
     return delta1 - Delta2 + W12
+
+
+def _cross_damping(gamma1: float, gamma2: float, theta_deg: float) -> float:
+    if theta_deg == 90.0:  # cos(radians(90)) is ~6e-17: switch interference off exactly
+        return 0.0
+    return math.sqrt(gamma1 * gamma2) * math.cos(math.radians(theta_deg))
 
 
 @dataclass(frozen=True)
@@ -61,17 +69,7 @@ class SystemParams:
     def __post_init__(self):
         if isinstance(self.system_kind, str):
             object.__setattr__(self, "system_kind", SystemKind(self.system_kind))
-        for name in (f.name for f in fields(self) if f.type == "float"):
-            if not math.isfinite(getattr(self, name)):
-                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
-        for name in ("gamma1", "gamma2", "gamma3"):
-            if getattr(self, name) <= 0:
-                raise ParameterError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("Omega1", "Omega2", "Omega3"):
-            if getattr(self, name) < 0:
-                raise ParameterError(f"{name} must be non-negative, got {getattr(self, name)}")
-        if not 0.0 <= self.theta_deg <= 90.0:
-            raise ParameterError(f"theta_deg must lie in [0, 90], got {self.theta_deg}")
+        _check_fields(vars(self))
 
     @property
     def gamma12(self) -> float:
@@ -80,11 +78,7 @@ class SystemParams:
         Parallel dipoles (theta = 0) give maximal interference, perpendicular
         ones none.
         """
-        if self.theta_deg == 90.0:
-            # cos(radians(90)) is ~6e-17, not 0; the perpendicular case must
-            # switch the interference off exactly.
-            return 0.0
-        return math.sqrt(self.gamma1 * self.gamma2) * math.cos(math.radians(self.theta_deg))
+        return _cross_damping(self.gamma1, self.gamma2, self.theta_deg)
 
     def with_(self, **kwargs) -> "SystemParams":
         return replace(self, **kwargs)
@@ -101,3 +95,23 @@ class SystemParams:
         if unknown:
             raise ParameterError(f"unknown parameter keys: {sorted(unknown)}")
         return cls(**data)
+
+
+_FLOAT_FIELDS = tuple(f.name for f in fields(SystemParams) if f.type == "float")
+# (names, test, requirement), tests elementwise; v failing reads "name requirement, got v"
+_FIELD_CHECKS = (
+    (_FLOAT_FIELDS, lambda v: abs(v) < math.inf, "must be finite"),
+    (("gamma1", "gamma2", "gamma3"), lambda v: v > 0, "must be positive"),
+    (("Omega1", "Omega2", "Omega3"), lambda v: v >= 0, "must be non-negative"),
+    (("theta_deg",), lambda v: (v >= 0.0) & (v <= 90.0), "must lie in [0, 90]"),
+)
+
+
+def _check_fields(values: dict) -> None:
+    """ParameterError at the first value (float or 1-d array entry) failing a check."""
+    for names, test, requirement in _FIELD_CHECKS:
+        for name in filter(values.__contains__, names):
+            ok = test(values[name])
+            if not (ok if isinstance(ok, bool) else ok.all()):
+                bad = values[name] if np.ndim(ok) == 0 else values[name][np.argmin(ok)]
+                raise ParameterError(f"{name} {requirement}, got {bad}")

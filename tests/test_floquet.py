@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from yprobe import floquet, linalg
 from yprobe.liouvillian import build_for, build_liouvillian, hermitian_reconstruct
-from yprobe.params import SystemKind, SystemParams, delta_from_delta1
+from yprobe.params import ParameterError, SystemKind, SystemParams, delta_from_delta1
 from yprobe.presets import PRESETS, get_preset
 
 FIG2A = get_preset("fig2a").params
@@ -277,6 +277,20 @@ class TestStackedPaths:
         grid = np.append(np.linspace(0.0, 1.0, floquet._BLOCK + 3), 1.5)
         with pytest.raises(ValueError, match="1.5"):
             floquet.interference_sweep(FIG3, grid)
+
+    def test_bad_grids_rejected_before_any_build(self, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("a block was built before the grid was checked")
+        monkeypatch.setattr(floquet, "build_stack", no_build)
+        grid = np.linspace(0.0, 1.0, floquet._BLOCK + 3)
+        with pytest.raises(ValueError, match="nan"):
+            floquet.interference_sweep(FIG3, np.append(grid, np.nan))
+        with pytest.raises(ParameterError, match="Delta2 must be finite, got inf"):
+            floquet.pump_sweep(FIG8, np.append(grid, np.inf))
+
+    def test_pump_sweep_rejects_nan_detuning(self):
+        with pytest.raises(ParameterError, match="Delta2 must be finite, got nan"):
+            floquet.pump_sweep(FIG8, [0.0, np.nan])
 
     def test_probe_spectrum_memory_stays_within_a_block(self):
         # The transient peak (above the result, which grows with the grid)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from yprobe.linalg import LU, SingularMatrixError, solve
 
@@ -32,7 +33,6 @@ class TestSolve:
         rhs = solve(a, b1) + solve(a, b2)
         assert np.abs(lhs - rhs).max() < 1e-9
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_singular_matrix_reports_pivot(self):
         a = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
         with pytest.raises(SingularMatrixError) as err:
@@ -85,7 +85,6 @@ class TestStackedSolve:
         assert x.shape == (2, 3, 4)
         assert np.array_equal(x[1, 2], solve(a[1, 2], b[1, 2]))
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_singular_matrix_is_named(self):
         a = np.array([np.eye(2)] * 4, dtype=complex)
         a[2] = [[1.0, 2.0], [2.0, 4.0]]
@@ -94,7 +93,6 @@ class TestStackedSolve:
         assert err.value.matrix_index == (2,)
         assert err.value.pivot_index == 1
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_singular_matrix_index_indexes_the_stack(self):
         a = np.array([[np.eye(2)] * 3] * 2, dtype=complex)
         a[1, 2] = [[0.0, 0.0], [0.0, 1.0]]
@@ -159,3 +157,33 @@ class TestFactorOnce:
         x = lu.solve((a @ np.ones((3, 4, 1)))[..., 0])
         with pytest.raises(np.linalg.LinAlgError, match=r"a\[1\]: solve residual"):
             lu.solve(x)
+
+
+class TestLapackCalls:
+    @pytest.mark.parametrize("n", [2, 8, 15])
+    @pytest.mark.parametrize("shape", [(), (1,), (5,), (2, 3)])
+    def test_bit_equal_to_scipy_lu(self, shape, n):
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(*shape, n, n)) + 1j * rng.normal(size=(*shape, n, n))
+        b = rng.normal(size=(*shape, n)) + 1j * rng.normal(size=(*shape, n))
+        lu, piv = scipy.linalg.lu_factor(a)
+        got = LU(a)
+        assert np.array_equal(got.factors[0], lu.reshape(-1, n, n))
+        assert np.array_equal(got.factors[1], piv.reshape(-1, n))
+        want = scipy.linalg.lu_solve((lu, piv), b[..., None])[..., 0]
+        assert np.array_equal(got.solve(b), want)
+
+    def test_exactly_singular_member_is_named(self):
+        rng = np.random.default_rng(9)
+        a = well_conditioned_stack(rng, (2, 3), 8)
+        a[1, 2, :, 3] = 0.0  # elimination keeps the column zero: getrf reports U[3, 3] = 0
+        with pytest.raises(SingularMatrixError, match=r"a\[1, 2\]") as err:
+            LU(a)
+        assert err.value.matrix_index == (1, 2)
+        assert err.value.pivot_index == 3
+        assert err.value.pivot_magnitude == 0.0
+
+    def test_zero_matrix_is_singular(self):
+        with pytest.raises(SingularMatrixError) as err:
+            solve(np.zeros((3, 3)), np.ones(3))
+        assert err.value.pivot_index == 0

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from yprobe import liouvillian
 from yprobe.liouvillian import (
     V_LABELS,
     Y_LABELS,
@@ -27,6 +30,13 @@ def v_params(**kw):
                 system_kind=SystemKind.V_THREE_LEVEL)
     base.update(kw)
     return SystemParams(**base)
+
+
+def assert_same_bits(got, want):
+    """Equal values with equal signs of zero, which np.array_equal does not compare."""
+    assert np.array_equal(got, want)
+    for part in ("real", "imag"):
+        assert np.array_equal(np.signbit(getattr(got, part)), np.signbit(getattr(want, part)))
 
 
 def random_hermitian_vector(rng, labels):
@@ -265,32 +275,96 @@ class TestHermitianReconstruct:
             hermitian_reconstruct(np.float64(1.0))
 
 
+# Column values with both zeros and both theta end points
+SWEEP = np.array([0.0, -0.0, 90.0, 0.5, 2.0, 89.5])
+
+
 class TestBuildStack:
     NAMES = ("m0", "m1", "m_minus1", "sigma", "sigma1", "sigma_minus1")
+    FLOATS = [f.name for f in dataclasses.fields(SystemParams) if f.type == "float"]
+
+    def assert_stack_equals(self, stack, draws):
+        """Each entry equals build_for of its draw, bit for bit and sign of zero."""
+        assert stack.m0.shape[0] == stack.sigma.shape[0] == len(draws)
+        for k, p in enumerate(draws):
+            one = build_for(p)
+            for got, want in ((stack.m0[k], one.m0), (stack.sigma[k], one.sigma)):
+                assert_same_bits(got, want)
+            for name in self.NAMES[1:3] + self.NAMES[4:]:
+                assert np.array_equal(getattr(stack, name), getattr(one, name))
+            assert stack.labels == one.labels
 
     @pytest.mark.parametrize("kind", list(SystemKind))
     def test_each_matrix_equals_build_for(self, kind):
         rng = np.random.default_rng(23)
         draws = [random_params(rng, kind) for _ in range(40)]
         draws += [draws[0].with_(theta_deg=90.0), draws[1].with_(theta_deg=0.0)]
-        stack = build_stack(draws)
-        assert stack.m0.shape[0] == stack.sigma.shape[0] == len(draws)
+        base = random_params(rng, kind)
+        stack = build_stack(base, **{name: [getattr(p, name) for p in draws]
+                                     for name in self.FLOATS})
         assert stack.dim == (15 if kind is SystemKind.Y_FOUR_LEVEL else 8)
-        for k, p in enumerate(draws):
-            one = build_for(p)
-            assert np.array_equal(stack.m0[k], one.m0)
-            assert np.array_equal(stack.sigma[k], one.sigma)
-            for name in self.NAMES[1:3] + self.NAMES[4:]:
-                assert np.array_equal(getattr(stack, name), getattr(one, name))
-            assert stack.labels == one.labels
+        self.assert_stack_equals(stack, draws)
+
+    @pytest.mark.parametrize("kind", list(SystemKind))
+    @pytest.mark.parametrize("columns", [
+        {"Delta2": SWEEP, "Delta3": -SWEEP},
+        {"theta_deg": SWEEP},
+        {"gamma2": SWEEP + 0.1, "W12": SWEEP[::-1]},
+        {"Omega1": SWEEP, "Phi": SWEEP[::-1]},
+    ], ids=["pump_detunings", "theta", "rate_and_splitting", "unused_by_generator"])
+    def test_swept_columns_over_a_base(self, kind, columns):
+        base = random_params(np.random.default_rng(29), kind)
+        draws = [base.with_(**{name: float(c[i]) for name, c in columns.items()})
+                 for i in range(len(SWEEP))]
+        self.assert_stack_equals(build_stack(base, **columns), draws)
 
     def test_one_parameter_set(self):
-        stack = build_stack([y_params()])
+        stack = build_stack(y_params(), Delta2=[0.0])
         assert stack.m0.shape == (1, 15, 15)
         assert np.array_equal(stack.m0[0], build_for(y_params()).m0)
 
-    @pytest.mark.parametrize("params_seq", [[], [y_params(), v_params()]],
-                             ids=["empty", "mixed"])
-    def test_needs_one_system_kind(self, params_seq):
-        with pytest.raises(ParameterError, match="one system kind"):
-            build_stack(params_seq)
+    @pytest.mark.parametrize("kind", list(SystemKind))
+    def test_sparse_assemble_equals_dense_sum(self, kind):
+        system = liouvillian._Y if kind is SystemKind.Y_FOUR_LEVEL else liouvillian._V
+        rng = np.random.default_rng(31)
+        weights = rng.normal(size=(50, len(system.names)))
+        weights[::3, ::2] = -0.0
+        weights[1::3, 1::2] = 0.0
+        dense = np.zeros((50,) + system.pieces.shape[1:], dtype=complex)
+        for w, piece in zip(weights.T, system.pieces):
+            dense += w[:, None, None] * piece
+        got = liouvillian._assemble(system, weights)
+        assert_same_bits(got.m0, dense[:, :-1])
+        assert_same_bits(got.sigma, dense[:, -1])
+
+    @pytest.mark.parametrize("name, value, later", [
+        ("theta_deg", 91.0, -5.0), ("Delta2", np.nan, np.inf),
+        ("gamma1", 0.0, -1.0), ("Omega2", -1.0, -2.0)])
+    def test_invalid_column_raises_the_params_message(self, name, value, later):
+        base = y_params()
+        with pytest.raises(ParameterError) as want:
+            base.with_(**{name: value})
+        column = np.full(4, getattr(base, name))
+        column[2:] = value, later
+        with pytest.raises(ParameterError) as got:
+            build_stack(base, W12=np.zeros(4), **{name: column})
+        assert str(got.value) == str(want.value)
+
+    def test_ignored_field_is_checked(self):
+        base = v_params()
+        d3 = np.array([0.0, 1.0, -2.0])
+        self.assert_stack_equals(build_stack(base, Delta3=d3),
+                                 [base.with_(Delta3=float(d)) for d in d3])
+        with pytest.raises(ParameterError, match="Delta3 must be finite, got nan"):
+            build_stack(base, Delta3=[0.0, np.nan])
+
+    @pytest.mark.parametrize("columns, message", [
+        ({}, "one length"),
+        ({"system_kind": [SystemKind.V_THREE_LEVEL]}, "system_kind"),
+        ({"gamma12": [0.5]}, "gamma12"),
+        ({"Delta2": [0.0, 1.0], "Delta3": [0.0]}, "one length"),
+        ({"Delta2": [[0.0, 1.0]]}, "1-d"),
+    ], ids=["no_columns", "system_kind", "unknown", "unequal", "two_d"])
+    def test_rejects_bad_columns(self, columns, message):
+        with pytest.raises(ParameterError, match=message):
+            build_stack(y_params(), **columns)
