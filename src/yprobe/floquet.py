@@ -73,9 +73,14 @@ class ProbeResponse:
         self.r0 = steady_state(self.liouv)
         self._i13 = self.liouv.index("13")
         self._b = _drive(self.liouv, self.r0)
-        lam, vec = np.linalg.eig(self.liouv.m0)
+        m0 = self.liouv.m0
+        lam, vec = np.linalg.eig(m0)
         vinv = np.linalg.inv(vec) if np.linalg.cond(vec) <= _MAX_EIGVEC_COND else None
-        self._modes = None if vinv is None else (lam, vec, vinv, vinv @ self._b)
+        # the diagonal of M0 and the row sums of |M0| off it give |M0 + i delta|
+        diag = np.diag(m0)
+        off = np.abs(m0 - np.diag(diag)).sum(axis=-1)
+        self._modes = None if vinv is None else (lam, vec, vinv, vinv @ self._b,
+                                                 diag[:, None], off[:, None])
 
     @np.errstate(all="ignore")  # detunings the eigenbasis cannot take are flagged below
     def harmonic(self, delta) -> tuple[np.ndarray, np.ndarray]:
@@ -86,28 +91,32 @@ class ProbeResponse:
         plus one such correction for the residual y - A x, stacked per detuning
         so that none depends on the others.  Stacked LU, with its errors, takes
         detunings that are not finite, near an eigenvalue by linalg's pivot test
-        or above its residual bound, and all of them if V is ill-conditioned.
+        or above its backward-error bound, and all of them if V is ill-conditioned.
         """
         delta = np.asarray(delta, dtype=float)
         if self._modes is None:
             return _harmonic(self.liouv, self.r0, delta)
-        lam, vec, vinv, modal_b = self._modes
+        lam, vec, vinv, modal_b, diag, off = self._modes
         m0, flat = self.liouv.m0, delta.reshape(-1)
         shift = 1j * flat[:, None]
         poles = lam + shift
+        # |A| = max row sum of |M0 + i delta|, as linalg.LU takes it; rows of A
+        # down, detunings across, which keeps numpy's max on its fast axis
+        norm = (off + np.abs(diag + 1j * flat)).max(axis=0)
 
         def apply(m, x):
             return (np.broadcast_to(m, x.shape[:1] + m.shape) @ x[..., None])[..., 0]
 
-        def solve(y, modal_y):
+        def solve(y, y_norm, modal_y):
             x = apply(vec, modal_y / poles)
             x = x + apply(vec, apply(vinv, y - apply(m0, x) - shift * x) / poles)
             residual = np.abs(y - apply(m0, x) - shift * x).max(axis=-1)
-            return x, residual <= linalg.RESIDUAL_RTOL * (1.0 + np.abs(y).max(axis=-1))
+            x_norm = np.abs(x).max(axis=-1)
+            return x, x_norm, residual <= linalg.BACKWARD_TOL * (norm * x_norm + y_norm)
 
-        r_plus, ok_r = solve(np.broadcast_to(self._b, poles.shape),
-                             np.broadcast_to(modal_b, poles.shape))
-        s, ok_s = solve(r_plus, apply(vinv, r_plus))
+        r_plus, r_norm, ok_r = solve(np.broadcast_to(self._b, poles.shape),
+                                     np.abs(self._b).max(), np.broadcast_to(modal_b, poles.shape))
+        s, _, ok_s = solve(r_plus, r_norm, apply(vinv, r_plus))
         d_r_plus = -1j * s
         # scale >= max|A| as in the pivot test; a non-finite delta fails on its NaN residual
         scale = np.abs(m0).max() + np.abs(flat)

@@ -1,8 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+import yprobe
+from yprobe import linalg
+from yprobe.liouvillian import build_for
 from yprobe.linalg import LU, SingularMatrixError, solve
+from yprobe.presets import PRESETS
 
 
 class TestSolve:
@@ -58,10 +67,26 @@ def well_conditioned_stack(rng, shape, n):
 
 
 def near_singular(rng, n):
-    """A matrix with pivots above PIVOT_RTOL but a residual far above RESIDUAL_RTOL."""
+    """A matrix with pivots above PIVOT_RTOL and condition number 1e12."""
     q1, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
     q2, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
     return q1 @ np.diag([1.0] * (n - 1) + [1e-12]) @ q2
+
+
+def wilkinson(n):
+    """Partial pivoting's worst case: its LU grows entries as 2^(n-1).
+
+    At n = 40 a solve has a backward error of about 1e-7 (Higham, Accuracy
+    and Stability, sec. 9.4), far above BACKWARD_TOL.
+    """
+    w = np.eye(n) - np.tril(np.ones((n, n)), -1)
+    w[:, -1] = 1.0
+    return w.astype(complex)
+
+
+def backward_error(a, x, b):
+    return np.abs(a @ x - b).max() / (np.abs(a).sum(axis=-1).max() * np.abs(x).max()
+                                      + np.abs(b).max())
 
 
 class TestStackedSolve:
@@ -122,15 +147,36 @@ class TestStackedSolve:
 
     def test_residual_failure_is_named(self):
         rng = np.random.default_rng(0)
+        a = well_conditioned_stack(rng, (3,), 40)
+        a[1] = wilkinson(40)
+        with pytest.raises(np.linalg.LinAlgError, match=r"a\[1\]: solve residual"):
+            solve(a, rng.normal(size=40) + 0j)
+
+    def test_ill_conditioned_exact_solve_passes(self):
+        # cond = 1e12 and |x| ~ 1e12, but x is exact to rounding: the
+        # backward error, not the size of the residual, decides
+        rng = np.random.default_rng(0)
         a = well_conditioned_stack(rng, (3,), 4)
         a[1] = near_singular(rng, 4)
+        x = solve(a, np.ones(4))
+        assert np.abs(x[1]).max() > 1e10
+        assert backward_error(a[1], x[1], np.ones(4)) <= 1e-15
+
+    def test_perturbed_factor_is_caught(self):
+        rng = np.random.default_rng(6)
+        a = well_conditioned_stack(rng, (3,), 15)
+        lu = LU(a)
+        lu.factors[0][1, 4, 9] += 1e-8
         with pytest.raises(np.linalg.LinAlgError, match=r"a\[1\]: solve residual"):
-            solve(a, np.ones(4))
+            lu.solve(rng.normal(size=15) + 0j)
 
     @pytest.mark.parametrize("shape", [(3, 5), (2, 4), (1, 3, 4), ()])
     def test_stack_mismatch_rejected(self, shape):
         with pytest.raises(ValueError, match="mismatch"):
             solve(np.array([np.eye(4)] * 3), np.ones(shape))
+
+    def test_empty_stack(self):
+        assert solve(np.zeros((0, 3, 3)), np.ones(3)).shape == (0, 3)
 
     def test_vector_rejected_as_matrix(self):
         with pytest.raises(ValueError, match="matrix"):
@@ -149,14 +195,14 @@ class TestFactorOnce:
 
     def test_every_solve_is_residual_checked(self):
         rng = np.random.default_rng(0)
-        a = well_conditioned_stack(rng, (3,), 4)
-        a[1] = near_singular(rng, 4)
-        # b = a @ 1 is solved accurately; its solution, as a new right-hand
-        # side, brings out the near-singular direction of a[1]
+        a = well_conditioned_stack(rng, (3,), 40)
+        a[1] = wilkinson(40)
+        # b = a @ 1 meets no pivot growth and is solved exactly; a random
+        # right-hand side on the same factors brings the growth out
         lu = LU(a)
-        x = lu.solve((a @ np.ones((3, 4, 1)))[..., 0])
+        assert np.array_equal(lu.solve((a @ np.ones((3, 40, 1)))[..., 0])[1], np.ones(40))
         with pytest.raises(np.linalg.LinAlgError, match=r"a\[1\]: solve residual"):
-            lu.solve(x)
+            lu.solve(rng.normal(size=40) + 0j)
 
 
 class TestLapackCalls:
@@ -187,3 +233,34 @@ class TestLapackCalls:
         with pytest.raises(SingularMatrixError) as err:
             solve(np.zeros((3, 3)), np.ones(3))
         assert err.value.pivot_index == 0
+
+
+class TestLapackPaths:
+    """numpy's bundled OpenBLAS by default, scipy's LAPACK where numpy lacks it."""
+
+    def test_import_loads_no_scipy_linalg(self):
+        # a fresh process: pytest's warning filter has loaded scipy.linalg in this one
+        code = "import sys, yprobe.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
+        src = str(Path(yprobe.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "[]"
+
+    @pytest.mark.skipif(linalg._OPENBLAS is None, reason="numpy exports no zgetrf/zgetrs")
+    @pytest.mark.parametrize("name,shared_rhs", [
+        *((name, False) for name, pr in PRESETS.items() if "t_max" not in pr.grid),
+        ("fig5b", True),  # a V stack with one right-hand side for all
+    ])
+    def test_scipy_fallback_is_bit_equal(self, monkeypatch, name, shared_rhs):
+        lv = build_for(PRESETS[name].params)
+        a = lv.m0 + 1j * np.linspace(-10.0, 10.0, 128)[:, None, None] * np.eye(lv.dim)
+        rng = np.random.default_rng(len(name))
+        b = rng.normal(size=(lv.dim if shared_rhs else (128, lv.dim))) + 1j
+        lu = LU(a)
+        x = lu.solve(b)
+        monkeypatch.setattr(linalg, "_OPENBLAS", None)
+        fallback = LU(a)
+        assert np.array_equal(fallback.factors[0], lu.factors[0])
+        assert np.array_equal(fallback.factors[1], lu.factors[1])
+        assert np.array_equal(fallback.solve(b), x)
+        assert np.array_equal(fallback.solve(x), lu.solve(x))
