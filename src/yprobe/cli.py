@@ -188,8 +188,12 @@ def cmd_dressed_evolve(args) -> int:
 def cmd_dump_liouvillian(args) -> int:
     params, grid = _resolve_config(args, "dump-liouvillian")
     liouv = build_for(params)
+    record = {"labels": list(liouv.labels)}
+    for name in ("m0", "m1", "m_minus1", "sigma", "sigma1", "sigma_minus1"):
+        a = getattr(liouv, name)
+        record[name] = np.stack([a.real, a.imag], axis=-1).tolist()
     out = Path(args.out)
-    out.write_text(json.dumps(liouv.to_jsonable()) + "\n")
+    out.write_text(json.dumps(record) + "\n")
     _emit_config(out, _full_config(params, grid))
     return 0
 

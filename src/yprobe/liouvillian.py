@@ -68,13 +68,6 @@ class LiouvillianSet:
     def index(self, label: str) -> int:
         return self.labels.index(label)
 
-    def to_jsonable(self) -> dict:
-        out = {"labels": list(self.labels)}
-        for name in ("m0", "m1", "m_minus1", "sigma", "sigma1", "sigma_minus1"):
-            a = getattr(self, name)
-            out[name] = np.stack([a.real, a.imag], axis=-1).tolist()
-        return out
-
 
 def _ket_bra(size: int, i: int, j: int) -> np.ndarray:
     """|i><j| on levels numbered from 1."""

@@ -7,9 +7,11 @@ demodulation over the periodic steady regime.  One step is a linear map of
 the augmented state [R; 1], precomputed once per trajectory from the
 generator matrices: with the probe off it is a constant matrix, composed
 over the stored samples and walked by doubling; with the probe on it is a
-Laurent polynomial in the probe phase, applied step by step.  Beyond the
-generator matrices nothing here is shared with the Floquet solves: the one
-linalg helper it calls, power_orbit, is not on the linear-response path.
+Laurent polynomial in the probe phase, and so is a block of steps, which is
+composed over the stored samples (blocks of up to BLOCK_MAX steps) and
+applied block by block.  Beyond the generator matrices nothing here is
+shared with the Floquet solves: the one linalg helper it calls,
+power_orbit, is not on the linear-response path.
 """
 
 from __future__ import annotations
@@ -25,9 +27,11 @@ from .liouvillian import LiouvillianSet
 from .params import SystemParams
 
 STABILITY_FACTOR = 0.02
-# Probe-on steps whose phases are computed at once (9 complex numbers each).
+# Probe-on steps whose phases are computed at once (8b + 1 complex numbers
+# per block of b steps).
 PHASE_CHUNK = 2048
-_POWERS = np.arange(-4, 5)
+# Longest probe-on block: the largest divisor of store_every up to this.
+BLOCK_MAX = 8
 
 
 class IntegrationError(RuntimeError):
@@ -46,7 +50,9 @@ class TrajectoryConfig:
 
     Times are in units of 1/gamma2.  demod_delta is the probe-pump
     detuning driving the harmonic phase factors (and later demodulation);
-    store_every thins the stored samples without affecting the stepping.
+    store_every thins the stored samples.  With the probe on it also sets
+    the block length of the composed steps (its largest divisor up to
+    BLOCK_MAX), which changes the states only by rounding.
     initial=None starts from the zero vector of the generator's dimension,
     i.e. all population in the eliminated ground state.
     """
@@ -107,32 +113,87 @@ def _constant_orbit(step: np.ndarray, x0: np.ndarray, n_steps: int,
     return states
 
 
+def _compose(step: np.ndarray, delta: float, dt: float, b: int) -> np.ndarray:
+    """Laurent coefficients U_n, n = -4b..4b, of b consecutive steps.
+
+    The step from time t is x -> sum_i z(t)^i T_i x, and z advances by
+    w = exp(-i delta dt) per step, so b steps from t are x -> sum_n z(t)^n U_n x
+    with U^(s+1)_n = sum_i w^(s i) T_i U^(s)_(n-i), the later step on the left.
+    The products are formed on the departures from the identity,
+    A = T - I and D = U - I, so their rounding is relative to the step's
+    small part rather than to the identity.
+    """
+    if b == 1:
+        return step
+    eye = np.eye(step.shape[-1])
+    a = step.copy()
+    a[4] -= eye
+    d, powers = a, np.arange(-4, 5)
+    for s in range(1, b):
+        t = a * np.exp(-1j * delta * dt * s * powers)[:, None, None]
+        nxt = np.zeros((len(d) + 8,) + d.shape[1:], dtype=complex)
+        nxt[4:-4] = d
+        nxt[4 * s:4 * s + 9] += t
+        for i, t_i in enumerate(t):
+            nxt[i:i + len(d)] += t_i @ d
+        d = nxt
+    d[4 * b] += eye
+    return d
+
+
 def _laurent_orbit(coeffs: np.ndarray, x0: np.ndarray, stored: np.ndarray,
                    delta: float, phi: float, dt: float) -> np.ndarray:
-    """States after the step counts in stored (stored[0] = 0), stepping one by one.
+    """States after the step counts in stored, one map of b steps at a time.
 
-    The phases z_k^j = exp(-ij(delta k dt - Phi)) come from the exact step
-    times, a chunk of steps at a time, so they do not drift.
+    coeffs holds the 8b + 1 Laurent coefficients of the map; x0 is the state
+    after stored[0] steps, and stored advances by multiples of b.  The phases
+    z_k^n = exp(-in(delta k dt - Phi)) come from the exact step k at which
+    each map starts, a chunk of steps at a time, so they do not drift.
     """
+    b = (len(coeffs) - 1) // 8
+    powers = np.arange(-4 * b, 4 * b + 1)
     dim = len(x0) - 1
-    c = coeffs[:, :dim].reshape(9 * dim, dim + 1)
-    y = np.empty(9 * dim, dtype=complex)
-    terms = y.reshape(9, dim)
+    c = coeffs[:, :dim].reshape(-1, dim + 1)
+    y = np.empty(len(coeffs) * dim, dtype=complex)
+    terms = y.reshape(len(coeffs), dim)
     out = np.empty((len(stored), dim + 1), dtype=complex)
     out[0] = x0
-    buf = np.ones((PHASE_CHUNK, dim + 1), dtype=complex)   # last column stays 1
+    maps = (stored - stored[0]) // b
+    chunk = PHASE_CHUNK // b
+    buf = np.ones((chunk, dim + 1), dtype=complex)   # last column stays 1
     x, pos = x0, 1
-    for k0 in range(0, stored[-1], PHASE_CHUNK):
-        k = np.arange(k0, min(k0 + PHASE_CHUNK, stored[-1]))
-        phases = np.exp(-1j * np.multiply.outer(delta * (k * dt) - phi, _POWERS))
+    for j0 in range(0, maps[-1], chunk):
+        k = stored[0] + b * np.arange(j0, min(j0 + chunk, maps[-1]))
+        phases = np.exp(-1j * np.multiply.outer(delta * (k * dt) - phi, powers))
         for x_next, r_next, z in zip(buf, buf[:, :dim], phases):
             np.matmul(c, x, out=y)
             np.matmul(z, terms, out=r_next)
             x = x_next
-        end = np.searchsorted(stored, k[-1] + 1, side="right")
-        out[pos:end] = buf[stored[pos:end] - k0 - 1]
+        end = np.searchsorted(maps, j0 + len(k), side="right")
+        out[pos:end] = buf[maps[pos:end] - j0 - 1]
         pos = end
     return out
+
+
+def _probe_on_orbit(step: np.ndarray, x0: np.ndarray, stored: np.ndarray, every: int,
+                    delta: float, phi: float, dt: float) -> np.ndarray:
+    """States after the step counts in stored, walked in blocks of b steps.
+
+    b is the largest divisor of every up to BLOCK_MAX, so each stored sample
+    but the last ends a block; the fewer than b steps left before the last
+    one are single steps.
+    """
+    b = max(d for d in range(1, BLOCK_MAX + 1) if every % d == 0)
+    n_steps = stored[-1]
+    n_main = n_steps - n_steps % b
+    blocks = _compose(step, delta, dt, b)
+    if n_main == n_steps:
+        return _laurent_orbit(blocks, x0, stored, delta, phi, dt)
+    head = stored[:-1]
+    walk = head if head[-1] == n_main else np.append(head, n_main)
+    states = _laurent_orbit(blocks, x0, walk, delta, phi, dt)
+    last = _laurent_orbit(step, states[-1], np.array([n_main, n_steps]), delta, phi, dt)
+    return np.vstack([states[:len(head)], last[1:]])
 
 
 def _check_positive(name: str, value) -> None:
@@ -146,11 +207,14 @@ def integrate_full(liouv: LiouvillianSet, params: SystemParams,
 
     Returns (times, states); states has one stacked element vector per
     stored sample, taken after every store_every steps and after the last
-    step.  Raises IntegrationError on an invalid span, step or store_every,
-    an unstable step size or a non-finite stored state.
+    step.  Raises IntegrationError on an invalid span, step, store_every
+    or demod_delta, an unstable step size or a non-finite stored state.
     """
     _check_positive("dt", config.dt)
     _check_positive("t_max", config.t_max)
+    delta = config.demod_delta
+    if not (isinstance(delta, numbers.Real) and math.isfinite(delta)):
+        raise IntegrationError(f"demod_delta must be a finite number, got {delta!r}")
     every = config.store_every
     if not isinstance(every, numbers.Integral) or isinstance(every, bool) or every < 1:
         raise IntegrationError(f"store_every must be an integer >= 1, got {every!r}")
@@ -173,11 +237,11 @@ def integrate_full(liouv: LiouvillianSet, params: SystemParams,
         stored = np.append(stored, n_steps)
     times = stored * dt
     x0 = np.append(r, 1.0)
-    coeffs = _step_coefficients(liouv, params.Omega1, config.demod_delta, dt)
+    coeffs = _step_coefficients(liouv, params.Omega1, delta, dt)
     if params.Omega1 == 0.0:
         states = _constant_orbit(coeffs[4], x0, n_steps, every)
     else:
-        states = _laurent_orbit(coeffs, x0, stored, config.demod_delta, params.Phi, dt)
+        states = _probe_on_orbit(coeffs, x0, stored, every, delta, params.Phi, dt)
     finite = np.isfinite(states[1:].view(float)).all(axis=1)
     if not finite.all():
         raise IntegrationError(

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -109,6 +110,28 @@ def rk4_step(lv, omega1, delta, phi, t, dt, r):
     return r + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
+def probe_on_case(name, omega1):
+    """A probe-on trajectory setting with a random probe phase and detuning."""
+    rng = np.random.default_rng(11)
+    p = get_preset(name).params.with_(Omega1=omega1, Phi=rng.uniform(0, 2 * math.pi))
+    lv = build_for(p)
+    return p, lv, 0.9 * oracle.max_stable_dt(lv, omega1), rng.uniform(-2.0, 2.0)
+
+
+@functools.cache
+def probe_on_step_loop(name, omega1, n_steps=1003):
+    """States after 0..n_steps plain RK4 steps from the zero state."""
+    p, lv, dt, delta = probe_on_case(name, omega1)
+    r = np.zeros(lv.dim, dtype=complex)
+    out = [r]
+    for k in range(n_steps):
+        r = rk4_step(lv, p.Omega1, delta, p.Phi, k * dt, dt, r)
+        out.append(r)
+    out = np.array(out)
+    out.flags.writeable = False     # shared by every caller through the cache
+    return out
+
+
 class TestPrecomputedSteps:
     """The composed and Laurent-expanded steps against plain RK4 loops."""
 
@@ -153,6 +176,26 @@ class TestPrecomputedSteps:
             r = rk4_step(lv, p.Omega1, delta, p.Phi, k * dt, dt, r)
         assert np.abs(states[-1] - r).max() <= 1e-12
 
+    @pytest.mark.parametrize("name", ["fig2b", "fig5c"])
+    @pytest.mark.parametrize("omega1", [1e-3, 0.5])
+    @pytest.mark.parametrize("every", [1, 3, 4, 7, 12, 10 ** 9])
+    def test_probe_on_blocks_match_step_loop(self, name, omega1, every):
+        # blocks of 1, 3, 4, 7, 6 and 8 steps; 1003 steps leave a partial last block
+        want = probe_on_step_loop(name, omega1)
+        n_steps = len(want) - 1
+        p, lv, dt, delta = probe_on_case(name, omega1)
+        cfg = oracle.TrajectoryConfig(t_max=n_steps * dt, dt=dt, demod_delta=delta,
+                                      store_every=every)
+        times, states = oracle.integrate_full(lv, p, cfg)
+        steps = [*range(0, n_steps, every), n_steps]
+        assert times.tolist() == [k * dt for k in steps]
+        assert np.abs(states - want[steps]).max() <= 1e-13 * np.abs(want).max()
+        if every == 1:
+            step = oracle._step_coefficients(lv, p.Omega1, delta, dt)
+            single = oracle._laurent_orbit(step, np.append(want[0], 1.0),
+                                           np.arange(n_steps + 1), delta, p.Phi, dt)
+            assert np.array_equal(states, single[:, :-1])
+
     @pytest.mark.parametrize("omega1", [0.0, 0.1])
     def test_non_finite_state_names_first_bad_sample(self, omega1):
         # a hand-made growing generator: |R| = 3e300 exp(t / 2) overflows
@@ -171,7 +214,8 @@ class TestPrecomputedSteps:
 
     @pytest.mark.parametrize("field, value", [
         ("store_every", 0), ("store_every", -3), ("store_every", 2.5),
-        ("store_every", True), ("dt", math.nan), ("t_max", -1.0), ("t_max", math.inf)])
+        ("store_every", True), ("dt", math.nan), ("t_max", -1.0), ("t_max", math.inf),
+        ("demod_delta", math.nan), ("demod_delta", math.inf)])
     def test_rejects_invalid_config(self, field, value):
         lv = build_liouvillian(FIG2B)
         cfg = oracle.TrajectoryConfig(t_max=0.05, dt=1e-3)
