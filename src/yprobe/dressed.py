@@ -24,6 +24,9 @@ from .params import ParameterError, SystemKind, SystemParams
 # strength, so it is exact and parameter-free.
 MIDDLE_STATE = (0.0, 0.5, 0.5, 0.0, 0.0)
 
+# Relative tolerance of the degeneracy lock checks.
+_LOCK_RTOL = 1e-9
+
 
 @dataclass(frozen=True)
 class DressedState:
@@ -55,17 +58,13 @@ def dressed_states(Omega2: float, Omega3: float):
 
 @dataclass(frozen=True)
 class GammaTable:
-    """Secular generator over (rho11, rho_pp, rho_mm, rho_dd, rho_1m), and its rates.
+    """Secular generator over (rho11, rho_pp, rho_mm, rho_dd, rho_1m).
 
     Row i holds the coefficients of d(element i)/dt.  The coherence is real
     (rho_-1 = rho_1-), so its two conjugate source terms share column 4.
     """
 
     generator: np.ndarray
-    gamma1: float
-    gamma2: float
-    gamma3: float
-    gamma12: float
 
     def matrix(self) -> np.ndarray:
         """The 5x5 real generator, a fresh copy the caller may write into."""
@@ -89,11 +88,10 @@ def gamma_table(gamma1: float, gamma2: float, gamma3: float,
         [-gamma12 / 2.0, 0.0, -gamma12 / 2.0, 0.0,
          -(4.0 * gamma1 + gamma2 + 2.0 * gamma3) / 4.0],
     ])
-    return GammaTable(g, gamma1, gamma2, gamma3, gamma12)
+    return GammaTable(g)
 
 
-def secular_table_from_params(params: SystemParams,
-                              rtol: float = 1e-9) -> GammaTable:
+def secular_table_from_params(params: SystemParams) -> GammaTable:
     """Build the rate table after enforcing the degeneracy lock.
 
     Requires the Y system, Delta2 = Delta3 = 0, Omega2 = Omega3 > 0 and
@@ -107,13 +105,13 @@ def secular_table_from_params(params: SystemParams,
             f"secular analysis needs zero pump detunings, got "
             f"Delta2={params.Delta2}, Delta3={params.Delta3}"
         )
-    if params.Omega2 == 0.0 or not math.isclose(params.Omega2, params.Omega3, rel_tol=rtol):
+    if params.Omega2 == 0.0 or not math.isclose(params.Omega2, params.Omega3, rel_tol=_LOCK_RTOL):
         raise ParameterError(
             f"secular analysis needs Omega2 = Omega3 > 0, got "
             f"Omega2={params.Omega2}, Omega3={params.Omega3}"
         )
     w_lock = -math.sqrt(params.Omega2 ** 2 + params.Omega3 ** 2)
-    if not math.isclose(params.W12, w_lock, rel_tol=rtol, abs_tol=1e-12):
+    if not math.isclose(params.W12, w_lock, rel_tol=_LOCK_RTOL, abs_tol=1e-12):
         raise ParameterError(
             f"secular analysis needs W12 = -sqrt(Omega2^2+Omega3^2) = "
             f"{w_lock}, got W12={params.W12}"

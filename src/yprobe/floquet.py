@@ -23,9 +23,6 @@ from .params import SystemParams, _check_fields, delta_from_delta1
 # (15x15); stacking a whole grid at once would grow the working set with it.
 _BLOCK = 128
 
-# cond(V), M0 = V diag(lam) V^-1, beyond which ProbeResponse solves by LU (presets: <= 5)
-_MAX_EIGVEC_COND = 1e4
-
 
 def steady_state(liouv: LiouvillianSet) -> np.ndarray:
     """Pump-only steady state R0 (probe switched off): M0 R0 = Sigma.
@@ -75,12 +72,11 @@ class ProbeResponse:
         self._b = _drive(self.liouv, self.r0)
         m0 = self.liouv.m0
         lam, vec = np.linalg.eig(m0)
-        vinv = np.linalg.inv(vec) if np.linalg.cond(vec) <= _MAX_EIGVEC_COND else None
+        vinv = np.linalg.inv(vec)
         # the diagonal of M0 and the row sums of |M0| off it give |M0 + i delta|
         diag = np.diag(m0)
         off = np.abs(m0 - np.diag(diag)).sum(axis=-1)
-        self._modes = None if vinv is None else (lam, vec, vinv, vinv @ self._b,
-                                                 diag[:, None], off[:, None])
+        self._modes = (lam, vec, vinv, vinv @ self._b, diag[:, None], off[:, None])
 
     @np.errstate(all="ignore")  # detunings the eigenbasis cannot take are flagged below
     def harmonic(self, delta) -> tuple[np.ndarray, np.ndarray]:
@@ -91,11 +87,9 @@ class ProbeResponse:
         plus one such correction for the residual y - A x, stacked per detuning
         so that none depends on the others.  Stacked LU, with its errors, takes
         detunings that are not finite, near an eigenvalue by linalg's pivot test
-        or above its backward-error bound, and all of them if V is ill-conditioned.
+        or above its backward-error bound.
         """
         delta = np.asarray(delta, dtype=float)
-        if self._modes is None:
-            return _harmonic(self.liouv, self.r0, delta)
         lam, vec, vinv, modal_b, diag, off = self._modes
         m0, flat = self.liouv.m0, delta.reshape(-1)
         shift = 1j * flat[:, None]

@@ -250,34 +250,31 @@ def integrate_full(liouv: LiouvillianSet, params: SystemParams,
 
 
 def steady_state_by_integration(liouv: LiouvillianSet, params: SystemParams,
-                                t_max: float, dt: float | None = None) -> np.ndarray:
+                                t_max: float) -> np.ndarray:
     """Long-time limit of the pump-only dynamics (probe off)."""
     p0 = params.with_(Omega1=0.0)
-    if dt is None:
-        dt = 0.9 * max_stable_dt(liouv, 0.0)
-    config = TrajectoryConfig(t_max=t_max, dt=dt, store_every=10 ** 9)
+    config = TrajectoryConfig(t_max=t_max, dt=0.9 * max_stable_dt(liouv, 0.0),
+                              store_every=10 ** 9)
     _, states = integrate_full(liouv, p0, config)
     return states[-1]
 
 
 def demodulate(times, rho13, delta: float, phi: float, omega1: float,
-               window: float, r0_13: complex | None = None) -> complex:
+               window: float) -> complex:
     """Probe-locked harmonic amplitude of rho13 per unit Omega1.
 
     Trapezoidal average of rho13(t) exp(+i(delta t - phi)) over the last
     `window` of the series (snapped down to whole probe periods), divided
     by omega1; the counter-rotating and static components integrate out.
-    For delta = 0 the DC deviation (rho13 - r0_13) / omega1 is returned.
+    delta must be finite and non-zero: at delta = 0 both probe harmonics
+    are static and cannot be told apart.
     """
+    if not (math.isfinite(delta) and delta != 0.0):
+        raise ValueError(f"delta must be finite and non-zero, got {delta!r}")
     times = np.asarray(times, dtype=float)
     rho13 = np.asarray(rho13, dtype=complex)
     if omega1 == 0.0:
         return 0.0 + 0.0j
-
-    if delta == 0.0:
-        if r0_13 is None:
-            raise ValueError("r0_13 is required for DC demodulation")
-        return (rho13[-1] - r0_13) / omega1
 
     period = 2.0 * math.pi / abs(delta)
     if window < period:

@@ -246,16 +246,13 @@ class TestDemodulate:
         t = np.linspace(0, 10, 101)
         assert oracle.demodulate(t, np.ones(101), 1.0, 0.0, 0.0, 10.0) == 0.0
 
-    def test_dc_branch_uses_reference(self):
+    @pytest.mark.parametrize("delta", [0.0, np.nan, np.inf, -np.inf])
+    def test_rejects_undemodulable_delta(self, delta):
+        # checked first: even a zero probe, which needs no demodulation, is refused
         t = np.linspace(0, 10, 11)
-        y = np.full(11, 0.2 + 0.05j)
-        out = oracle.demodulate(t, y, 0.0, 0.0, 1e-2, 10.0, r0_13=0.2 + 0.0j)
-        assert out == pytest.approx(5.0j)
-
-    def test_dc_branch_requires_reference(self):
-        t = np.linspace(0, 10, 11)
-        with pytest.raises(ValueError, match="r0_13"):
-            oracle.demodulate(t, np.ones(11), 0.0, 0.0, 1e-2, 10.0)
+        for omega1 in (1e-2, 0.0):
+            with pytest.raises(ValueError, match="delta must be finite and non-zero"):
+                oracle.demodulate(t, np.ones(11), delta, 0.0, omega1, 10.0)
 
     def test_rejects_short_window(self):
         t = np.linspace(0, 100, 1001)
