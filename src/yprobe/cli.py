@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dressed, floquet, oracle
+from ._csv import write_csv
 from .liouvillian import build_for
 from .params import ParameterError, SystemParams
 from .presets import PRESETS, get_preset
@@ -44,11 +45,9 @@ _OPTIONS = {
 
 def _write_csv(path: Path, header: list, columns: list, as_json: bool):
     """Write equal-length columns (1-d, or 2-d blocks of columns) as CSV rows, full precision."""
-    rows = np.column_stack(columns).tolist()
-    line = ",".join(["{:.17g}"] * len(header))
-    path.write_text("\n".join([",".join(header), *(line.format(*row) for row in rows)]) + "\n")
+    write_csv(path, header, columns)
     if as_json:
-        records = [dict(zip(header, row)) for row in rows]
+        records = [dict(zip(header, row)) for row in np.column_stack(columns).tolist()]
         Path(str(path) + ".json").write_text(json.dumps(records) + "\n")
 
 

@@ -107,8 +107,18 @@ _FIELD_CHECKS = (
 )
 
 
+def _is_real(value) -> bool:
+    """A real number, or an array of them; a bool is not taken as one."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind in "iuf"
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def _check_fields(values: dict) -> None:
     """ParameterError at the first value (float or 1-d array entry) failing a check."""
+    for name in filter(values.__contains__, _FLOAT_FIELDS):
+        if not _is_real(values[name]):
+            raise ParameterError(f"{name} must be a real number, got {values[name]!r}")
     for names, test, requirement in _FIELD_CHECKS:
         for name in filter(values.__contains__, names):
             ok = test(values[name])

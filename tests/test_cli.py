@@ -72,6 +72,17 @@ class TestErrorHandling:
         assert record["error"] == "ParameterError"
         assert "typo_key" in record["message"]
 
+    @pytest.mark.parametrize("value", ["1", None, True])
+    def test_non_real_parameter_fails_with_json_record(self, tmp_path, capsys, value):
+        cfg = write_small_config(tmp_path / "input.json", "probe-spectrum")
+        cfg.write_text(json.dumps(dict(json.loads(cfg.read_text()), gamma1=value)))
+        out = tmp_path / "x.csv"
+        assert run("probe-spectrum", "--config", str(cfg), "--out", str(out)) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ParameterError"
+        assert record["message"].startswith("gamma1 must be a real number")
+        assert not out.exists()
+
     def test_requires_preset_or_config(self, tmp_path, capsys):
         assert run("probe-spectrum", "--out", str(tmp_path / "x.csv")) == 1
         assert "preset" in json.loads(capsys.readouterr().err)["message"]

@@ -81,6 +81,17 @@ class TestSystemParams:
         with pytest.raises(ParameterError, match=f"{name} must be finite"):
             SystemParams(**self._valid(**{name: value}))
 
+    @pytest.mark.parametrize("value", ["1", None, True, False, np.True_, 1j, [1.0],
+                                       np.array([True]), np.array(["1"])])
+    @pytest.mark.parametrize("name", ["gamma1", "theta_deg", "Omega2", "Phi"])
+    def test_rejects_non_real_values(self, name, value):
+        with pytest.raises(ParameterError, match=f"{name} must be a real number"):
+            SystemParams(**self._valid(**{name: value}))
+
+    @pytest.mark.parametrize("value", [1, np.int64(1), np.float32(0.5), np.float64(0.5)])
+    def test_accepts_ints_and_numpy_reals(self, value):
+        assert SystemParams(**self._valid(gamma1=value)).gamma1 == value
+
     def test_rejects_unknown_keys(self):
         with pytest.raises(ParameterError, match="unknown parameter"):
             SystemParams.from_dict(self._valid(gamma4=1.0))
