@@ -124,7 +124,8 @@ def evolve_secular(table: GammaTable, initial, t_max: float, dt: float):
     """Fixed-step 4th-order integration of the 5-variable secular system.
 
     Returns (times, states) with states of shape (n_steps + 1, 5) in the
-    (rho11, rho_pp, rho_mm, rho_dd, rho_1m) ordering.
+    (rho11, rho_pp, rho_mm, rho_dd, rho_1m) ordering; a t_max that rounds
+    to zero steps is rejected.
     """
     for name, value in (("t_max", t_max), ("dt", dt)):
         if not (math.isfinite(value) and value > 0):
@@ -140,6 +141,8 @@ def evolve_secular(table: GammaTable, initial, t_max: float, dt: float):
         raise ValueError(f"step must satisfy 0 < dt <= {dt_max:.3e}, got {dt}")
 
     n_steps = int(round(t_max / dt))
+    if n_steps == 0:
+        raise ValueError(f"t_max = {t_max} rounds to zero steps of dt = {dt}")
     times = np.arange(n_steps + 1) * dt
     # The generator is constant, so the 4th-order step collapses to one
     # precomputed matrix, a = sum_{j<=4} (dt G)^j / j!, and the states are

@@ -8,10 +8,12 @@ the augmented state [R; 1], precomputed once per trajectory from the
 generator matrices: with the probe off it is a constant matrix, composed
 over the stored samples and walked by doubling; with the probe on it is a
 Laurent polynomial in the probe phase, and so is a block of steps, which is
-composed over the stored samples (blocks of up to BLOCK_MAX steps) and
-applied block by block.  Beyond the generator matrices nothing here is
-shared with the Floquet solves: the one linalg helper it calls,
-power_orbit, is not on the linear-response path.
+composed over the stored samples (blocks of up to BLOCK_MAX steps).  The
+block maps are evaluated a chunk at a time, by one GEMM of the phases, taken
+from the exact step each map starts at, against the Laurent coefficients;
+the walk is then one dim x (dim + 1) product per map.  Beyond the generator
+matrices nothing here is shared with the Floquet solves: the one linalg
+helper it calls, power_orbit, is not on the linear-response path.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from .liouvillian import LiouvillianSet
 from .params import SystemParams
 
 STABILITY_FACTOR = 0.02
-# Probe-on steps whose phases are computed at once (8b + 1 complex numbers
-# per block of b steps).
-PHASE_CHUNK = 2048
+# Probe-on block maps evaluated by one GEMM: 256 maps of dim x (dim + 1)
+# complex numbers are 0.98 MB for the Y system, whatever the block length.
+PHASE_CHUNK = 256
 # Longest probe-on block: the largest divisor of store_every up to this.
 BLOCK_MAX = 8
 
@@ -145,29 +147,34 @@ def _laurent_orbit(coeffs: np.ndarray, x0: np.ndarray, stored: np.ndarray,
                    delta: float, phi: float, dt: float) -> np.ndarray:
     """States after the step counts in stored, one map of b steps at a time.
 
-    coeffs holds the 8b + 1 Laurent coefficients of the map; x0 is the state
-    after stored[0] steps, and stored advances by multiples of b.  The phases
-    z_k^n = exp(-in(delta k dt - Phi)) come from the exact step k at which
-    each map starts, a chunk of steps at a time, so they do not drift.
+    coeffs holds the 8b + 1 Laurent coefficients U_n of the map; x0 is the
+    state after stored[0] steps, and stored advances by multiples of b.  The
+    map starting at step k is M = sum_n z^n U_n with z = exp(-i(delta k dt - Phi))
+    taken from the exact k, so the phase does not drift from map to map.  As
+    |z| = 1, z^n U_n + z^-n U_-n = Re z^n (U_n + U_-n) + Im z^n i(U_n - U_-n):
+    the maps of a chunk of PHASE_CHUNK are one real GEMM of their
+    [1, Re z^n, Im z^n] rows (powers by repeated multiplication) against
+    those sums, and the walk is then one dim x (dim + 1) product per map.
     """
     b = (len(coeffs) - 1) // 8
-    powers = np.arange(-4 * b, 4 * b + 1)
-    dim = len(x0) - 1
-    c = coeffs[:, :dim].reshape(-1, dim + 1)
-    y = np.empty(len(coeffs) * dim, dtype=complex)
-    terms = y.reshape(len(coeffs), dim)
+    h, dim = 4 * b, len(x0) - 1
+    u = coeffs[:, :dim].reshape(len(coeffs), dim * (dim + 1))
+    c = np.concatenate([u[h:h + 1], u[h + 1:] + u[h - 1::-1],
+                        1j * (u[h + 1:] - u[h - 1::-1])]).view(float)
     out = np.empty((len(stored), dim + 1), dtype=complex)
     out[0] = x0
     maps = (stored - stored[0]) // b
-    chunk = PHASE_CHUNK // b
-    buf = np.ones((chunk, dim + 1), dtype=complex)   # last column stays 1
+    mats = np.empty((PHASE_CHUNK, dim, dim + 1), dtype=complex)
+    buf = np.ones((PHASE_CHUNK, dim + 1), dtype=complex)   # last column stays 1
     x, pos = x0, 1
-    for j0 in range(0, maps[-1], chunk):
-        k = stored[0] + b * np.arange(j0, min(j0 + chunk, maps[-1]))
-        phases = np.exp(-1j * np.multiply.outer(delta * (k * dt) - phi, powers))
-        for x_next, r_next, z in zip(buf, buf[:, :dim], phases):
-            np.matmul(c, x, out=y)
-            np.matmul(z, terms, out=r_next)
+    for j0 in range(0, maps[-1], PHASE_CHUNK):
+        k = stored[0] + b * np.arange(j0, min(j0 + PHASE_CHUNK, maps[-1]))
+        z = np.exp(-1j * (delta * (k * dt) - phi))
+        zn = np.cumprod(np.broadcast_to(z[:, None], (len(k), h)), axis=1)
+        phases = np.hstack([np.ones((len(k), 1)), zn.real, zn.imag])
+        np.matmul(phases, c, out=mats[:len(k)].reshape(len(k), -1).view(float))
+        for m, x_next, r_next in zip(mats, buf, buf[:len(k), :dim]):
+            np.dot(m, x, out=r_next)
             x = x_next
         end = np.searchsorted(maps, j0 + len(k), side="right")
         out[pos:end] = buf[maps[pos:end] - j0 - 1]
@@ -207,8 +214,8 @@ def integrate_full(liouv: LiouvillianSet, params: SystemParams,
 
     Returns (times, states); states has one stacked element vector per
     stored sample, taken after every store_every steps and after the last
-    step.  Raises IntegrationError on an invalid span, step, store_every
-    or demod_delta, an unstable step size or a non-finite stored state.
+    step.  Raises IntegrationError on an invalid or zero-step span, step,
+    store_every or demod_delta, an unstable step size or a non-finite state.
     """
     _check_positive("dt", config.dt)
     _check_positive("t_max", config.t_max)
@@ -232,6 +239,8 @@ def integrate_full(liouv: LiouvillianSet, params: SystemParams,
         raise ValueError(f"initial state must have {liouv.dim} components, got {r.shape}")
 
     n_steps = int(round(config.t_max / dt))
+    if n_steps == 0:
+        raise IntegrationError(f"t_max = {config.t_max} rounds to zero steps of dt = {dt}")
     stored = np.arange(0, n_steps + 1, every)
     if stored[-1] != n_steps:
         stored = np.append(stored, n_steps)

@@ -102,6 +102,19 @@ class TestErrorHandling:
         assert "W12" in json.loads(capsys.readouterr().err)["message"]
 
     @pytest.mark.parametrize("extra", [[], ["--oracle-check"]])
+    def test_dressed_evolve_rejects_span_of_zero_steps(self, tmp_path, capsys, extra):
+        cfg = tmp_path / "short.json"
+        data = get_preset("fig7").params.to_dict()
+        data.update(t_max=0.004, dt=0.01, store_every=1)
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "x.csv"
+        assert run("dressed-evolve", "--config", str(cfg), *extra, "--out", str(out)) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ValueError"
+        assert "t_max" in record["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra", [[], ["--oracle-check"]])
     def test_dressed_evolve_rejects_v_system(self, tmp_path, capsys, extra):
         # every lock condition holds, but the secular picture is the Y system's
         cfg = tmp_path / "v.json"

@@ -138,7 +138,7 @@ class TestEvolveSecular:
 
     @pytest.mark.parametrize("t_max, dt, field", [
         (-1.0, 0.01, "t_max"), (math.nan, 0.01, "t_max"), (math.inf, 0.01, "t_max"),
-        (10.0, math.nan, "dt"), (10.0, -0.01, "dt")])
+        (0.004, 0.01, "t_max"), (10.0, math.nan, "dt"), (10.0, -0.01, "dt")])
     def test_rejects_invalid_span_and_step(self, t_max, dt, field):
         table = dressed.secular_table_from_params(FIG2B)
         with pytest.raises(ValueError, match=field):

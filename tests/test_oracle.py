@@ -196,6 +196,23 @@ class TestPrecomputedSteps:
                                            np.arange(n_steps + 1), delta, p.Phi, dt)
             assert np.array_equal(states, single[:, :-1])
 
+    @pytest.mark.parametrize("name", ["fig2b", "fig5c"])
+    @pytest.mark.parametrize("every", [1, 3, 4, 8, 16])
+    def test_probe_on_blocks_across_phase_chunks(self, monkeypatch, name, every):
+        # 9 maps per chunk: 1003 steps cross many chunk boundaries and end on
+        # a partial chunk for blocks of 1, 3, 4 and 8 steps; at every = 16 a
+        # stored sample falls every other map, so samples straddle chunks too
+        monkeypatch.setattr(oracle, "PHASE_CHUNK", 9)
+        want = probe_on_step_loop(name, 0.5)
+        n_steps = len(want) - 1
+        p, lv, dt, delta = probe_on_case(name, 0.5)
+        cfg = oracle.TrajectoryConfig(t_max=n_steps * dt, dt=dt, demod_delta=delta,
+                                      store_every=every)
+        times, states = oracle.integrate_full(lv, p, cfg)
+        steps = [*range(0, n_steps, every), n_steps]
+        assert times.tolist() == [k * dt for k in steps]
+        assert np.abs(states - want[steps]).max() <= 1e-13 * np.abs(want).max()
+
     @pytest.mark.parametrize("omega1", [0.0, 0.1])
     def test_non_finite_state_names_first_bad_sample(self, omega1):
         # a hand-made growing generator: |R| = 3e300 exp(t / 2) overflows
@@ -215,6 +232,7 @@ class TestPrecomputedSteps:
     @pytest.mark.parametrize("field, value", [
         ("store_every", 0), ("store_every", -3), ("store_every", 2.5),
         ("store_every", True), ("dt", math.nan), ("t_max", -1.0), ("t_max", math.inf),
+        ("t_max", 4e-4), ("t_max", 5e-4),   # spans that round to zero steps of dt
         ("demod_delta", math.nan), ("demod_delta", math.inf)])
     def test_rejects_invalid_config(self, field, value):
         lv = build_liouvillian(FIG2B)
