@@ -64,6 +64,8 @@ def _resolve_config(args, command: str) -> tuple[SystemParams, dict]:
     options = _OPTIONS.get(command, {})
     if args.config:
         data = json.loads(Path(args.config).read_text())
+        if not isinstance(data, dict):
+            raise ParameterError(f"a config must be a JSON object, got {type(data).__name__}")
         unknown = set(data) - set(_PARAM_KEYS) - set(grid_keys) - set(options)
         if unknown:
             raise ParameterError(f"unknown configuration keys: {sorted(unknown)}")

@@ -7,8 +7,10 @@ The periodically driven solution is expanded into probe harmonics,
 
 and truncated at first order in the probe: (M0 + i delta) Rp = Sigma_+ - M_+ R0.
 The susceptibility is gamma2 times the rho13 component of Rp (Rm never enters
-it and is not computed).  Spectra solve in the eigenbasis of M0, the sweeps by
-stacked LU.  All are reported against the probe detuning Delta1 = Delta2 + delta - W12.
+it and is not computed).  Spectra solve in the eigenbasis of M0 with a block's
+detunings as GEMM columns, padded to a multiple of 4 so that no column's
+rounding depends on the grid's width; the sweeps solve by stacked LU.  All are
+reported against the probe detuning Delta1 = Delta2 + delta - W12.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ def steady_state(liouv: LiouvillianSet) -> np.ndarray:
 def _blocks(values) -> list:
     """A 1-d grid cut into consecutive blocks of at most _BLOCK points."""
     values = np.asarray(values, dtype=float)
+    if values.ndim != 1:
+        raise ValueError(f"a grid must be 1-d, got shape {values.shape}")
     return [values[i:i + _BLOCK] for i in range(0, len(values), _BLOCK)]
 
 
@@ -84,37 +88,33 @@ class ProbeResponse:
 
         delta is a scalar, or an array whose shape leads the returned stacks.
         Each A x = y, A = M0 + i delta, is solved as x = V (V^-1 y)/(lam + i delta)
-        plus one such correction for the residual y - A x, stacked per detuning
-        so that none depends on the others.  Stacked LU, with its errors, takes
-        detunings that are not finite, near an eigenvalue by linalg's pivot test
-        or above its backward-error bound.
+        plus one such correction for the residual y - A x.  Detunings are the
+        columns of (n, k) arrays, so each product is one GEMM, with k padded to
+        a multiple of 4 by repeats: OpenBLAS rounds a column in a tail 1-3 wide
+        differently, and no result may depend on the grid.  Stacked LU, with its
+        errors, takes detunings that are not finite, near an eigenvalue by
+        linalg's pivot test or above its backward-error bound.
         """
         delta = np.asarray(delta, dtype=float)
         lam, vec, vinv, modal_b, diag, off = self._modes
-        m0, flat = self.liouv.m0, delta.reshape(-1)
-        shift = 1j * flat[:, None]
-        poles = lam + shift
-        # |A| = max row sum of |M0 + i delta|, as linalg.LU takes it; rows of A
-        # down, detunings across, which keeps numpy's max on its fast axis
-        norm = (off + np.abs(diag + 1j * flat)).max(axis=0)
-
-        def apply(m, x):
-            return (np.broadcast_to(m, x.shape[:1] + m.shape) @ x[..., None])[..., 0]
+        m0, k = self.liouv.m0, delta.size
+        shift = 1j * np.resize(delta, -(-k // 4) * 4)
+        poles = lam[:, None] + shift
+        norm = (off + np.abs(diag + shift)).max(axis=0)   # |A|, the max row sum, as linalg.LU
 
         def solve(y, y_norm, modal_y):
-            x = apply(vec, modal_y / poles)
-            x = x + apply(vec, apply(vinv, y - apply(m0, x) - shift * x) / poles)
-            residual = np.abs(y - apply(m0, x) - shift * x).max(axis=-1)
-            x_norm = np.abs(x).max(axis=-1)
+            x = vec @ (modal_y / poles)
+            x = x + vec @ (vinv @ (y - m0 @ x - shift * x) / poles)
+            residual = np.abs(y - m0 @ x - shift * x).max(axis=0)
+            x_norm = np.abs(x).max(axis=0)
             return x, x_norm, residual <= linalg.BACKWARD_TOL * (norm * x_norm + y_norm)
 
-        r_plus, r_norm, ok_r = solve(np.broadcast_to(self._b, poles.shape),
-                                     np.abs(self._b).max(), np.broadcast_to(modal_b, poles.shape))
-        s, _, ok_s = solve(r_plus, r_norm, apply(vinv, r_plus))
-        d_r_plus = -1j * s
+        r_plus, r_norm, ok_r = solve(self._b[:, None], np.abs(self._b).max(), modal_b[:, None])
+        s, _, ok_s = solve(r_plus, r_norm, vinv @ r_plus)
         # scale >= max|A| as in the pivot test; a non-finite delta fails on its NaN residual
-        scale = np.abs(m0).max() + np.abs(flat)
-        ok = ok_r & ok_s & (np.abs(poles).min(axis=-1) >= linalg.PIVOT_RTOL * scale)
+        scale = np.abs(m0).max() + np.abs(shift)
+        ok = (ok_r & ok_s & (np.abs(poles).min(axis=0) >= linalg.PIVOT_RTOL * scale))[:k]
+        r_plus, d_r_plus = r_plus[:, :k].T, -1j * s[:, :k].T
         if not ok.all():  # LU raises as it always has, indexed into delta
             lu = _harmonic(self.liouv, self.r0, delta)
             r_plus[~ok], d_r_plus[~ok] = (x.reshape(r_plus.shape)[~ok] for x in lu)
@@ -145,9 +145,9 @@ def group_velocity_ratio(slope_normalized: float, K: float) -> float:
 
 def probe_spectrum(params: SystemParams, delta1_values) -> tuple[np.ndarray, np.ndarray]:
     """Susceptibility and dispersion slope arrays over a detuning grid, a block per solve."""
+    blocks = _blocks(delta1_values)
     resp = ProbeResponse(params)
-    parts = [(np.empty(0, complex), np.empty(0))]
-    parts += [resp.response(block) for block in _blocks(delta1_values)]
+    parts = [resp.response(block) for block in blocks or [np.empty(0)]]
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 

@@ -10,7 +10,7 @@ rate of level i is 2*gamma_i.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -67,8 +67,12 @@ class SystemParams:
     system_kind: SystemKind = SystemKind.Y_FOUR_LEVEL
 
     def __post_init__(self):
-        if isinstance(self.system_kind, str):
+        try:
             object.__setattr__(self, "system_kind", SystemKind(self.system_kind))
+        except ValueError:
+            kinds = [kind.value for kind in SystemKind]
+            raise ParameterError(
+                f"system_kind must be one of {kinds}, got {self.system_kind!r}") from None
         _check_fields(vars(self))
 
     @property
@@ -90,10 +94,14 @@ class SystemParams:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SystemParams":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        if not isinstance(data, dict):
+            raise ParameterError(f"parameters must be a mapping, got {type(data).__name__}")
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ParameterError(f"unknown parameter keys: {sorted(unknown)}")
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in data]
+        if missing:
+            raise ParameterError(f"missing parameter keys: {missing}")
         return cls(**data)
 
 

@@ -83,6 +83,23 @@ class TestErrorHandling:
         assert record["message"].startswith("gamma1 must be a real number")
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit,words", [
+        (lambda data: [], ["JSON object", "list"]),
+        (lambda data: 5, ["JSON object", "int"]),
+        (lambda data: {k: v for k, v in data.items() if k not in ("gamma1", "W12")},
+         ["missing", "gamma1", "W12"]),
+        (lambda data: dict(data, system_kind="Z"), ["system_kind", "'Z'"]),
+    ], ids=["list", "number", "missing_fields", "unknown_system_kind"])
+    def test_malformed_config_fails_with_json_record(self, tmp_path, capsys, edit, words):
+        cfg = write_small_config(tmp_path / "input.json", "probe-spectrum")
+        cfg.write_text(json.dumps(edit(json.loads(cfg.read_text()))))
+        out = tmp_path / "x.csv"
+        assert run("probe-spectrum", "--config", str(cfg), "--out", str(out)) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ParameterError"
+        assert all(word in record["message"] for word in words), record["message"]
+        assert not out.exists()
+
     def test_requires_preset_or_config(self, tmp_path, capsys):
         assert run("probe-spectrum", "--out", str(tmp_path / "x.csv")) == 1
         assert "preset" in json.loads(capsys.readouterr().err)["message"]

@@ -96,6 +96,24 @@ class TestSystemParams:
         with pytest.raises(ParameterError, match="unknown parameter"):
             SystemParams.from_dict(self._valid(gamma4=1.0))
 
+    @pytest.mark.parametrize("data", [[], "gamma1", 5, None])
+    def test_from_dict_rejects_a_non_mapping(self, data):
+        with pytest.raises(ParameterError, match="must be a mapping"):
+            SystemParams.from_dict(data)
+
+    def test_from_dict_names_missing_fields(self):
+        data = self._valid()
+        del data["gamma3"], data["Omega1"]
+        with pytest.raises(ParameterError, match=r"missing parameter keys: \['gamma3', 'Omega1'\]"):
+            SystemParams.from_dict(data)
+
+    @pytest.mark.parametrize("kind", ["Z", "y_four_level", 5, None])
+    def test_rejects_unknown_system_kind(self, kind):
+        with pytest.raises(ParameterError, match="system_kind must be one of"):
+            SystemParams.from_dict(self._valid(system_kind=kind))
+        with pytest.raises(ParameterError, match="system_kind must be one of"):
+            SystemParams(**self._valid(system_kind=kind))
+
     def test_json_roundtrip(self):
         p = SystemParams(**self._valid(system_kind=SystemKind.V_THREE_LEVEL))
         q = SystemParams.from_dict(json.loads(json.dumps(p.to_dict())))
