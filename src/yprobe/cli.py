@@ -51,17 +51,15 @@ def _write_csv(path: Path, header: list, columns: list, as_json: bool):
         Path(str(path) + ".json").write_text(json.dumps(records) + "\n")
 
 
-def _emit_config(out: Path, config: dict):
-    Path(str(out) + ".config.json").write_text(json.dumps(config, indent=2) + "\n")
-
-
-def _resolve_config(args, command: str) -> tuple[SystemParams, dict]:
-    """Merge preset, config file and flags into (params, grid).
+def _resolve_config(args) -> tuple[SystemParams, dict]:
+    """Merge preset or config file, and flags, into (params, grid).
 
     grid holds the command's grid fields and its output options.
     """
-    grid_keys = _GRID_KEYS[command]
-    options = _OPTIONS.get(command, {})
+    if bool(args.preset) == bool(args.config):
+        raise ParameterError("exactly one of --preset or --config is required")
+    grid_keys = _GRID_KEYS[args.command]
+    options = _OPTIONS.get(args.command, {})
     if args.config:
         data = json.loads(Path(args.config).read_text())
         if not isinstance(data, dict):
@@ -71,12 +69,10 @@ def _resolve_config(args, command: str) -> tuple[SystemParams, dict]:
             raise ParameterError(f"unknown configuration keys: {sorted(unknown)}")
         grid = {k: data.pop(k) for k in (*grid_keys, *options) if k in data}
         params = SystemParams.from_dict(data)
-    elif args.preset:
+    else:
         preset = get_preset(args.preset)
         params = preset.params
         grid = {k: v for k, v in preset.grid.items() if k in grid_keys}
-    else:
-        raise ParameterError("either --preset or --config is required")
 
     if getattr(args, "points", None) is not None:
         grid["n_points"] = args.points
@@ -86,7 +82,7 @@ def _resolve_config(args, command: str) -> tuple[SystemParams, dict]:
         grid.setdefault(key, default)
     missing = set(grid_keys) - set(grid)
     if missing:
-        raise ParameterError(f"missing grid fields for {command}: {sorted(missing)}")
+        raise ParameterError(f"missing grid fields for {args.command}: {sorted(missing)}")
     for key in (*grid_keys, *(["k_value"] if grid.get("k_value") is not None else [])):
         value = grid[key]
         if key in ("n_points", "store_every"):
@@ -104,12 +100,7 @@ def _resolve_config(args, command: str) -> tuple[SystemParams, dict]:
     return params, grid
 
 
-def _full_config(params: SystemParams, grid: dict) -> dict:
-    return {**params.to_dict(), **grid}
-
-
-def cmd_probe_spectrum(args) -> int:
-    params, grid = _resolve_config(args, "probe-spectrum")
+def cmd_probe_spectrum(params: SystemParams, grid: dict, out: Path, as_json: bool):
     values = np.linspace(grid["delta1_min"], grid["delta1_max"], grid["n_points"])
     chi, slope = floquet.probe_spectrum(params, values)
     header = ["delta1", "re_chi", "im_chi", "slope"]
@@ -117,24 +108,16 @@ def cmd_probe_spectrum(args) -> int:
     if grid["k_value"] is not None:
         header.append("c_over_vg")
         columns.append(floquet.group_velocity_ratio(slope, grid["k_value"]))
-    out = Path(args.out)
-    _write_csv(out, header, columns, args.json)
-    _emit_config(out, _full_config(params, grid))
-    return 0
+    _write_csv(out, header, columns, as_json)
 
 
-def cmd_interference_sweep(args) -> int:
-    params, grid = _resolve_config(args, "interference-sweep")
+def cmd_interference_sweep(params: SystemParams, grid: dict, out: Path, as_json: bool):
     p_values = np.linspace(grid["p_min"], grid["p_max"], grid["n_points"])
     slope = floquet.interference_sweep(params, p_values)
-    out = Path(args.out)
-    _write_csv(out, ["p", "slope_normalized"], [p_values, slope], args.json)
-    _emit_config(out, _full_config(params, grid))
-    return 0
+    _write_csv(out, ["p", "slope_normalized"], [p_values, slope], as_json)
 
 
-def cmd_pump_sweeps(args) -> int:
-    params, grid = _resolve_config(args, "pump-sweeps")
+def cmd_pump_sweeps(params: SystemParams, grid: dict, out: Path, as_json: bool):
     d2_values = np.linspace(grid["delta2_min"], grid["delta2_max"], grid["n_points"])
     rhos = floquet.pump_sweep(params, d2_values)
     # Populations of every level but the eliminated ground level (the last),
@@ -148,15 +131,11 @@ def cmd_pump_sweeps(args) -> int:
     for k in range(2, size):
         coh_header += [f"re_rho{k}{k + 1}", f"im_rho{k}{k + 1}"]
         cohs += [rhos[:, k - 1, k].real, rhos[:, k - 1, k].imag]
-    out = Path(args.out)
-    _write_csv(out.with_name(out.stem + "_populations.csv"), pop_header, pops, args.json)
-    _write_csv(out.with_name(out.stem + "_coherences.csv"), coh_header, cohs, args.json)
-    _emit_config(out, _full_config(params, grid))
-    return 0
+    _write_csv(out.with_name(out.stem + "_populations.csv"), pop_header, pops, as_json)
+    _write_csv(out.with_name(out.stem + "_coherences.csv"), coh_header, cohs, as_json)
 
 
-def cmd_dressed_evolve(args) -> int:
-    params, grid = _resolve_config(args, "dressed-evolve")
+def cmd_dressed_evolve(params: SystemParams, grid: dict, out: Path, as_json: bool):
     table = dressed.secular_table_from_params(params)
     times, states = dressed.evolve_secular(
         table, dressed.MIDDLE_STATE, grid["t_max"], grid["dt"])
@@ -179,24 +158,17 @@ def cmd_dressed_evolve(args) -> int:
         summary["full_me_rho11_steady"] = float(
             floquet.steady_state(liouv)[0].real)
 
-    out = Path(args.out)
-    _write_csv(out, header, columns, args.json)
-    _emit_config(out, _full_config(params, grid))
+    _write_csv(out, header, columns, as_json)
     print(json.dumps(summary))
-    return 0
 
 
-def cmd_dump_liouvillian(args) -> int:
-    params, grid = _resolve_config(args, "dump-liouvillian")
+def cmd_dump_liouvillian(params: SystemParams, grid: dict, out: Path, as_json: bool):
     liouv = build_for(params)
     record = {"labels": list(liouv.labels)}
     for name in ("m0", "m1", "m_minus1", "sigma", "sigma1", "sigma_minus1"):
         a = getattr(liouv, name)
         record[name] = np.stack([a.real, a.imag], axis=-1).tolist()
-    out = Path(args.out)
     out.write_text(json.dumps(record) + "\n")
-    _emit_config(out, _full_config(params, grid))
-    return 0
 
 
 _COMMANDS = {
@@ -237,11 +209,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        params, grid = _resolve_config(args)
+        out = Path(args.out)
+        _COMMANDS[args.command](params, grid, out, getattr(args, "json", False))
+        Path(f"{out}.config.json").write_text(
+            json.dumps({**params.to_dict(), **grid}, indent=2) + "\n")
     except Exception as exc:  # pragma: no cover - exercised via CLI tests
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record), file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -108,9 +108,8 @@ def _v_generator(g1, g2, g12, W, D2, O2):
 class _System(NamedTuple):
     """Element ordering and generator pieces of one system.
 
-    pieces[j] is M0 per unit of names[j] with Sigma appended as a last row,
-    and terms[j] its nonzero entries as (flat indices, values); probe holds
-    M1 and Mm1 stacked the same way on Sigma1 and Sigma-1.
+    pieces[j] is M0 per unit of names[j] with Sigma appended as a last row;
+    probe holds M1 and Mm1 stacked the same way on Sigma1 and Sigma-1.
     """
 
     labels: tuple
@@ -118,7 +117,6 @@ class _System(NamedTuple):
     size: int
     rows: np.ndarray
     pieces: np.ndarray
-    terms: tuple
     probe: tuple
 
 
@@ -135,10 +133,9 @@ def _derive(labels: tuple, names: tuple, generator) -> _System:
         return np.vstack([lv[rows] @ q, -lv[rows, ground]])
 
     pieces = np.array([project(generator(*unit)) for unit in np.eye(len(names))])
-    terms = tuple((np.flatnonzero(p), p[p != 0]) for p in pieces)
     probe = tuple(project(_superoperator(-_ket_bra(size, i, j), []))
                   for i, j in ((1, 3), (3, 1)))
-    return _System(labels, names, size, rows, pieces, terms, probe)
+    return _System(labels, names, size, rows, pieces, probe)
 
 
 _Y = _derive(Y_LABELS, ("gamma1", "gamma2", "gamma3", "gamma12", "W12",
@@ -149,13 +146,12 @@ _V = _derive(V_LABELS, ("gamma1", "gamma2", "gamma12", "W12", "Delta2", "Omega2"
 
 def _assemble(system: _System, weights: np.ndarray) -> LiouvillianSet:
     """The generator at weights (one value per name), or a stack of them for (k, names)."""
-    # Each product is exact (the pieces hold small integers) and the sum runs
-    # in the fixed order of names, so (W - D2) - D3 rounds as written.  Adding
-    # only nonzero entries changes no bit: from +0, the sum never reaches -0.
-    acc = np.zeros(weights.shape[:-1] + system.pieces.shape[1:], dtype=complex)
-    flat = acc.reshape(weights.shape[:-1] + (-1,))
-    for w, (index, values) in zip(np.moveaxis(weights, -1, 0)[..., None], system.terms):
-        flat[..., index] += w * values
+    # One real GEMM, bit-equal to the weighted sum of the pieces: they hold only
+    # 0, +-1 and +-2, so every product is exact, and the sum runs from +0 in
+    # the fixed order of names (a test checks it), so (W - D2) - D3 rounds as
+    # written.
+    flat = weights @ system.pieces.reshape(len(system.names), -1).view(float)
+    acc = flat.view(complex).reshape(weights.shape[:-1] + system.pieces.shape[1:])
     plus, minus = (np.array(p) for p in system.probe)
     return LiouvillianSet(acc[..., :-1, :], plus[:-1], minus[:-1],
                           acc[..., -1, :], plus[-1], minus[-1], system.labels)

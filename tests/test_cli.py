@@ -100,9 +100,15 @@ class TestErrorHandling:
         assert all(word in record["message"] for word in words), record["message"]
         assert not out.exists()
 
-    def test_requires_preset_or_config(self, tmp_path, capsys):
-        assert run("probe-spectrum", "--out", str(tmp_path / "x.csv")) == 1
-        assert "preset" in json.loads(capsys.readouterr().err)["message"]
+    @pytest.mark.parametrize("both", [False, True], ids=["neither", "both"])
+    def test_requires_preset_or_config(self, tmp_path, capsys, both):
+        cfg = write_small_config(tmp_path / "input.json", "probe-spectrum")
+        given = ["--preset", "fig5c", "--config", str(cfg)] if both else []
+        out = tmp_path / "x.csv"
+        assert run("probe-spectrum", *given, "--out", str(out)) == 1
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert message == "exactly one of --preset or --config is required"
+        assert not out.exists()
 
     def test_empty_grid_rejected(self, tmp_path, capsys):
         assert run("probe-spectrum", "--preset", "fig3", "--points", "0",
@@ -114,9 +120,10 @@ class TestErrorHandling:
         data = get_preset("fig7").params.to_dict()
         data.update(W12=4.0, t_max=10.0, dt=0.01, store_every=1)
         cfg.write_text(json.dumps(data))
-        assert run("dressed-evolve", "--config", str(cfg),
-                   "--out", str(tmp_path / "x.csv")) == 1
+        out = tmp_path / "x.csv"
+        assert run("dressed-evolve", "--config", str(cfg), "--out", str(out)) == 1
         assert "W12" in json.loads(capsys.readouterr().err)["message"]
+        assert not Path(f"{out}.config.json").exists()
 
     @pytest.mark.parametrize("extra", [[], ["--oracle-check"]])
     def test_dressed_evolve_rejects_span_of_zero_steps(self, tmp_path, capsys, extra):
@@ -130,6 +137,7 @@ class TestErrorHandling:
         assert record["error"] == "ValueError"
         assert "t_max" in record["message"]
         assert not out.exists()
+        assert not Path(f"{out}.config.json").exists()
 
     @pytest.mark.parametrize("extra", [[], ["--oracle-check"]])
     def test_dressed_evolve_rejects_v_system(self, tmp_path, capsys, extra):
@@ -144,6 +152,7 @@ class TestErrorHandling:
         assert record["error"] == "ParameterError"
         assert "system_kind" in record["message"]
         assert not out.exists()
+        assert not Path(f"{out}.config.json").exists()
 
 
     @pytest.mark.parametrize("command,key,value", [

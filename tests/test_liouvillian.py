@@ -324,18 +324,21 @@ class TestBuildStack:
         assert np.array_equal(stack.m0[0], build_for(y_params()).m0)
 
     @pytest.mark.parametrize("kind", list(SystemKind))
-    def test_sparse_assemble_equals_dense_sum(self, kind):
+    @pytest.mark.parametrize("rows", [np.s_[:], 0], ids=["stack", "single"])
+    def test_assemble_equals_fixed_order_sum(self, kind, rows):
+        # A BLAS that reorders the GEMM's sum over names breaks this.
         system = liouvillian._Y if kind is SystemKind.Y_FOUR_LEVEL else liouvillian._V
         rng = np.random.default_rng(31)
         weights = rng.normal(size=(50, len(system.names)))
         weights[::3, ::2] = -0.0
         weights[1::3, 1::2] = 0.0
-        dense = np.zeros((50,) + system.pieces.shape[1:], dtype=complex)
-        for w, piece in zip(weights.T, system.pieces):
-            dense += w[:, None, None] * piece
+        weights = weights[rows]
+        dense = np.zeros(weights.shape[:-1] + system.pieces.shape[1:], dtype=complex)
+        for w, piece in zip(np.moveaxis(weights, -1, 0), system.pieces):
+            dense += np.multiply.outer(w, piece)
         got = liouvillian._assemble(system, weights)
-        assert_same_bits(got.m0, dense[:, :-1])
-        assert_same_bits(got.sigma, dense[:, -1])
+        assert_same_bits(got.m0, dense[..., :-1, :])
+        assert_same_bits(got.sigma, dense[..., -1, :])
 
     @pytest.mark.parametrize("name, value, later", [
         ("theta_deg", 91.0, -5.0), ("Delta2", np.nan, np.inf),
