@@ -15,12 +15,10 @@ from .liouvillian import (
 )
 from .floquet import (
     ProbeResponse,
-    dispersion_slope,
     group_velocity_ratio,
     interference_sweep,
     probe_spectrum,
     pump_sweep,
-    susceptibility,
 )
 from .dressed import (
     dressed_states,

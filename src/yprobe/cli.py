@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +22,6 @@ from ._csv import write_csv
 from .liouvillian import build_for
 from .params import ParameterError, SystemParams
 from .presets import PRESETS, get_preset
-
-_PARAM_KEYS = tuple(f.name for f in fields(SystemParams))
 
 _GRID_KEYS = {
     "probe-spectrum": ("delta1_min", "delta1_max", "n_points"),
@@ -64,9 +61,6 @@ def _resolve_config(args) -> tuple[SystemParams, dict]:
         data = json.loads(Path(args.config).read_text())
         if not isinstance(data, dict):
             raise ParameterError(f"a config must be a JSON object, got {type(data).__name__}")
-        unknown = set(data) - set(_PARAM_KEYS) - set(grid_keys) - set(options)
-        if unknown:
-            raise ParameterError(f"unknown configuration keys: {sorted(unknown)}")
         grid = {k: data.pop(k) for k in (*grid_keys, *options) if k in data}
         params = SystemParams.from_dict(data)
     else:

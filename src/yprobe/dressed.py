@@ -48,9 +48,8 @@ def dressed_states(Omega2: float, Omega3: float):
     if s <= 0:
         raise ParameterError("at least one pump Rabi frequency must be non-zero")
     lam = math.sqrt(s)
-    nd = math.sqrt(s)
     npm = math.sqrt(2.0 * s)  # Omega2^2 + lam^2 + Omega3^2 = 2 s
-    d = DressedState("d", 0.0, (Omega3 / nd, 0.0, -Omega2 / nd))
+    d = DressedState("d", 0.0, (Omega3 / lam, 0.0, -Omega2 / lam))
     plus = DressedState("+", lam, (Omega2 / npm, -lam / npm, Omega3 / npm))
     minus = DressedState("-", -lam, (Omega2 / npm, lam / npm, Omega3 / npm))
     return d, plus, minus
@@ -149,7 +148,7 @@ def evolve_secular(table: GammaTable, initial, t_max: float, dt: float):
     # its powers applied to y0.
     dtg = dt * g
     a = np.eye(5) + dtg @ (np.eye(5) + dtg @ (np.eye(5) + dtg @ (np.eye(5) + dtg / 4.0) / 3.0) / 2.0)
-    return times, linalg.power_orbit(a, y0, n_steps)
+    return times, linalg.power_orbit(a, y0, n_steps, 1)
 
 
 def secular_steady_state(table: GammaTable) -> np.ndarray:

@@ -80,7 +80,7 @@ class ProbeResponse:
         # the diagonal of M0 and the row sums of |M0| off it give |M0 + i delta|
         diag = np.diag(m0)
         off = np.abs(m0 - np.diag(diag)).sum(axis=-1)
-        self._modes = (lam, vec, vinv, vinv @ self._b, diag[:, None], off[:, None])
+        self._modes = (lam, vec, vinv, diag[:, None], off[:, None])
 
     @np.errstate(all="ignore")  # detunings the eigenbasis cannot take are flagged below
     def harmonic(self, delta) -> tuple[np.ndarray, np.ndarray]:
@@ -96,21 +96,21 @@ class ProbeResponse:
         linalg's pivot test or above its backward-error bound.
         """
         delta = np.asarray(delta, dtype=float)
-        lam, vec, vinv, modal_b, diag, off = self._modes
+        lam, vec, vinv, diag, off = self._modes
         m0, k = self.liouv.m0, delta.size
         shift = 1j * np.resize(delta, -(-k // 4) * 4)
         poles = lam[:, None] + shift
         norm = (off + np.abs(diag + shift)).max(axis=0)   # |A|, the max row sum, as linalg.LU
 
-        def solve(y, y_norm, modal_y):
-            x = vec @ (modal_y / poles)
+        def solve(y, y_norm):
+            x = vec @ (vinv @ y / poles)
             x = x + vec @ (vinv @ (y - m0 @ x - shift * x) / poles)
             residual = np.abs(y - m0 @ x - shift * x).max(axis=0)
             x_norm = np.abs(x).max(axis=0)
             return x, x_norm, residual <= linalg.BACKWARD_TOL * (norm * x_norm + y_norm)
 
-        r_plus, r_norm, ok_r = solve(self._b[:, None], np.abs(self._b).max(), modal_b[:, None])
-        s, _, ok_s = solve(r_plus, r_norm, vinv @ r_plus)
+        r_plus, r_norm, ok_r = solve(self._b[:, None], np.abs(self._b).max())
+        s, _, ok_s = solve(r_plus, r_norm)
         # scale >= max|A| as in the pivot test; a non-finite delta fails on its NaN residual
         scale = np.abs(m0).max() + np.abs(shift)
         ok = (ok_r & ok_s & (np.abs(poles).min(axis=0) >= linalg.PIVOT_RTOL * scale))[:k]
@@ -128,14 +128,6 @@ class ProbeResponse:
         gamma2 = self.params.gamma2
         # d delta / d Delta1 = 1, so the delta-derivative is the slope.
         return gamma2 * r_plus[..., self._i13], gamma2 * d_r_plus[..., self._i13].real
-
-
-def susceptibility(params: SystemParams, delta1: float) -> complex:
-    return complex(ProbeResponse(params).response(delta1)[0])
-
-
-def dispersion_slope(params: SystemParams, delta1: float) -> float:
-    return float(ProbeResponse(params).response(delta1)[1])
 
 
 def group_velocity_ratio(slope_normalized: float, K: float) -> float:

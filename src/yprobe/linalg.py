@@ -193,22 +193,27 @@ def solve(a, b) -> np.ndarray:
     return LU(a).solve(b)
 
 
-def power_orbit(p, x0, n: int) -> np.ndarray:
-    """The n + 1 vectors p^k x0 for k = 0..n, as rows of one array.
+def power_orbit(p, x0, n: int, every: int) -> np.ndarray:
+    """The states of n steps x -> p x from x0: after each multiple of every steps, and the last.
 
-    The orbit is walked by doubling: with the first m rows known,
-    rows m..2m-1 are the first m rows times (p^m)^T, and p^m is then
-    squared.  That takes about 2 log2(n) matrix products instead of n
-    matrix-vector steps.
+    Rows are p^(k every) x0 for k = 0..n // every, then p^n x0 if every does
+    not divide n.  The orbit of q = p^every is walked by doubling: with the
+    first m rows known, rows m..2m-1 are the first m rows times (q^m)^T, and
+    q^m is then squared.  That takes about 2 log2(n / every) matrix products
+    instead of n matrix-vector steps.
     """
     x0 = np.asarray(x0)
-    out = np.empty((n + 1,) + x0.shape, dtype=np.result_type(p, x0))
+    n_full, rem = divmod(n, every)
+    out = np.empty((n_full + 1 + (rem > 0),) + x0.shape, dtype=np.result_type(p, x0))
     out[0] = x0
+    q = np.linalg.matrix_power(p, every) if n_full else p
     m = 1
-    while m <= n:
-        count = min(m, n + 1 - m)
-        out[m:m + count] = out[:count] @ p.T
+    while m <= n_full:
+        count = min(m, n_full + 1 - m)
+        out[m:m + count] = out[:count] @ q.T
         m += count
-        if m <= n:
-            p = p @ p
+        if m <= n_full:
+            q = q @ q
+    if rem:
+        out[-1] = np.linalg.matrix_power(p, rem) @ out[-2]
     return out

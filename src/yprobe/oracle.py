@@ -104,17 +104,6 @@ def _step_coefficients(liouv: LiouvillianSet, omega1: float, delta: float,
     return eye + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _constant_orbit(step: np.ndarray, x0: np.ndarray, n_steps: int,
-                    every: int) -> np.ndarray:
-    """States after 0, every, 2 every, ... steps of one fixed map, and after n_steps."""
-    n_full, rem = divmod(n_steps, every)
-    block = np.linalg.matrix_power(step, every) if n_full else step
-    states = linalg.power_orbit(block, x0, n_full)
-    if rem:
-        states = np.vstack([states, np.linalg.matrix_power(step, rem) @ states[-1]])
-    return states
-
-
 def _compose(step: np.ndarray, delta: float, dt: float, b: int) -> np.ndarray:
     """Laurent coefficients U_n, n = -4b..4b, of b consecutive steps.
 
@@ -248,7 +237,7 @@ def integrate_full(liouv: LiouvillianSet, params: SystemParams,
     x0 = np.append(r, 1.0)
     coeffs = _step_coefficients(liouv, params.Omega1, delta, dt)
     if params.Omega1 == 0.0:
-        states = _constant_orbit(coeffs[4], x0, n_steps, every)
+        states = linalg.power_orbit(coeffs[4], x0, n_steps, every)
     else:
         states = _probe_on_orbit(coeffs, x0, stored, every, delta, params.Phi, dt)
     finite = np.isfinite(states[1:].view(float)).all(axis=1)
@@ -273,8 +262,9 @@ def demodulate(times, rho13, delta: float, phi: float, omega1: float,
     """Probe-locked harmonic amplitude of rho13 per unit Omega1.
 
     Trapezoidal average of rho13(t) exp(+i(delta t - phi)) over the last
-    `window` of the series (snapped down to whole probe periods), divided
-    by omega1; the counter-rotating and static components integrate out.
+    `window` of the series (all of a shorter series), snapped down to whole
+    probe periods, divided by omega1; the counter-rotating and static
+    components integrate out.
     delta must be finite and non-zero: at delta = 0 both probe harmonics
     are static and cannot be told apart.
     """
@@ -286,12 +276,11 @@ def demodulate(times, rho13, delta: float, phi: float, omega1: float,
         return 0.0 + 0.0j
 
     period = 2.0 * math.pi / abs(delta)
-    if window < period:
-        raise ValueError(
-            f"window {window} is shorter than one probe period {period:.4g}"
-        )
-    span = math.floor(window / period) * period
     t_end = times[-1]
+    span = math.floor(min(window, t_end - times[0]) / period) * period
+    if span == 0.0:
+        raise ValueError(f"window {window} over a series of {t_end - times[0]:.4g} is "
+                         f"shorter than one probe period {period:.4g}")
     mask = times >= t_end - span - 1e-12
     t = times[mask]
     y = rho13[mask]

@@ -75,17 +75,17 @@ class TestSolveFloquet:
 
 class TestSusceptibility:
     def test_transparent_at_line_centre_with_interference(self):
-        chi = floquet.susceptibility(FIG2B, 0.0)
+        chi, _ = floquet.ProbeResponse(FIG2B).response(0.0)
         assert abs(chi.imag) < 0.01
 
     def test_gain_doublet(self):
-        assert floquet.susceptibility(FIG2B, 4.0).imag < 0
-        assert floquet.susceptibility(FIG2B, -4.0).imag < 0
+        chi, _ = floquet.ProbeResponse(FIG2B).response([4.0, -4.0])
+        assert (chi.imag < 0).all()
 
     def test_phase_independence_bitwise(self):
+        base = floquet.ProbeResponse(FIG2B).response(1.7)[0]
         for phi in (0.0, math.pi / 3, math.pi):
-            assert floquet.susceptibility(FIG2B.with_(Phi=phi), 1.7) == \
-                floquet.susceptibility(FIG2B, 1.7)
+            assert floquet.ProbeResponse(FIG2B.with_(Phi=phi)).response(1.7)[0] == base
 
     def test_near_symmetric_doublet_without_interference(self):
         grid = np.linspace(-10, 10, 401)
@@ -94,33 +94,35 @@ class TestSusceptibility:
         assert np.abs(im - im[::-1]).max() < 0.05 * peak
 
     def test_v_system_gain_with_anomalous_dispersion(self):
-        chi = floquet.susceptibility(FIG5B, 0.0)
+        chi, slope = floquet.ProbeResponse(FIG5B).response(0.0)
         assert chi.imag < 0
-        assert floquet.dispersion_slope(FIG5B, 0.0) < 0
+        assert slope < 0
 
 
 class TestDispersionSlope:
     def test_normal_dispersion_without_interference(self):
-        assert floquet.dispersion_slope(FIG2A, 0.0) > 0
+        assert floquet.ProbeResponse(FIG2A).response(0.0)[1] > 0
 
     def test_small_splitting_steepens_negative_slope(self):
-        s2b = floquet.dispersion_slope(FIG2B, 0.0)
-        s3 = floquet.dispersion_slope(FIG3, 0.0)
+        s2b = floquet.ProbeResponse(FIG2B).response(0.0)[1]
+        s3 = floquet.ProbeResponse(FIG3).response(0.0)[1]
         assert s3 < s2b < 0
 
     @pytest.mark.parametrize("name", SPECTRUM_PRESETS)
     def test_exact_slope_matches_resolvent_derivative(self, name):
         p = PRESETS[name].params
+        resp = floquet.ProbeResponse(p)
         for delta1 in (-4.0, -0.75, 0.0, 0.3, 0.75, 2.0, 4.0):
             want = resolvent_slope(p, delta1)
-            assert abs(floquet.dispersion_slope(p, delta1) - want) <= 1e-10 * abs(want)
+            assert abs(resp.response(delta1)[1] - want) <= 1e-10 * abs(want)
 
     def test_central_difference_converges_quadratically(self):
         # an outside central difference of chi approaches the exact slope at O(h^2)
-        exact = floquet.dispersion_slope(FIG3, 0.3)
+        resp = floquet.ProbeResponse(FIG3)
+        exact = resp.response(0.3)[1]
 
         def err(h):
-            chi = [floquet.susceptibility(FIG3, 0.3 + s).real for s in (h, -h)]
+            chi = [resp.response(0.3 + s)[0].real for s in (h, -h)]
             return (chi[0] - chi[1]) / (2 * h) - exact
 
         e1, e2, e3 = err(1e-3), err(5e-4), err(2.5e-4)
@@ -132,12 +134,14 @@ class TestDispersionSlope:
     def test_fig3_slope_beside_line_centre(self):
         # A central difference with h = 1e-3 is 4% off here; Richardson
         # extrapolation of smaller steps pins the derivative of Re(chi).
+        resp = floquet.ProbeResponse(FIG3)
+
         def fd(h):
-            chi = [floquet.susceptibility(FIG3, 0.75 + s).real for s in (h, -h)]
+            chi = [resp.response(0.75 + s)[0].real for s in (h, -h)]
             return (chi[0] - chi[1]) / (2 * h)
 
         richardson = (4 * fd(5e-5) - fd(1e-4)) / 3
-        slope = floquet.dispersion_slope(FIG3, 0.75)
+        slope = resp.response(0.75)[1]
         assert slope == pytest.approx(richardson, rel=1e-6)
         assert slope == pytest.approx(resolvent_slope(FIG3, 0.75), rel=1e-10)
 
@@ -203,8 +207,7 @@ class TestProbeSpectrum:
         chi, slope = floquet.probe_spectrum(FIG2B, [0.0, 1.0])
         assert chi.shape == slope.shape == (2,)
         assert chi.dtype == complex and slope.dtype == float
-        assert chi[1] == floquet.susceptibility(FIG2B, 1.0)
-        assert slope[1] == floquet.dispersion_slope(FIG2B, 1.0)
+        assert (chi[1], slope[1]) == floquet.ProbeResponse(FIG2B).response(1.0)
 
 
 def lu_slope(p, delta1):
@@ -465,7 +468,7 @@ class TestModalCore:
             floquet.probe_spectrum(FIG2B, grid)
         assert str(err.value) == "a[2]: matrix has non-finite entries"   # block-relative
         with pytest.raises(ValueError) as err:
-            floquet.susceptibility(FIG2B, np.nan)
+            floquet.ProbeResponse(FIG2B).response(np.nan)
         assert str(err.value) == "matrix has non-finite entries"
 
     def test_singular_shift_raises_as_lu_does(self, monkeypatch):

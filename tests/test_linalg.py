@@ -264,3 +264,15 @@ class TestLapackPaths:
         assert np.array_equal(fallback.factors[1], lu.factors[1])
         assert np.array_equal(fallback.solve(b), x)
         assert np.array_equal(fallback.solve(x), lu.solve(x))
+
+
+class TestPowerOrbit:
+    @pytest.mark.parametrize("n, every", [(7, 1), (9, 3), (10, 3), (2, 5)])
+    def test_rows_are_powers_at_the_stride_and_the_end(self, n, every):
+        rng = np.random.default_rng(n * every)
+        p = 0.3 * rng.normal(size=(4, 4)) + 0.2j * rng.normal(size=(4, 4))
+        x0 = rng.normal(size=4) + 0j
+        steps = sorted({*range(0, n + 1, every), n})
+        want = [np.linalg.matrix_power(p, k) @ x0 for k in steps]
+        np.testing.assert_allclose(linalg.power_orbit(p, x0, n, every), want,
+                                   rtol=1e-12, atol=1e-14)

@@ -326,12 +326,19 @@ class TestBuildStack:
     @pytest.mark.parametrize("kind", list(SystemKind))
     @pytest.mark.parametrize("rows", [np.s_[:], 0], ids=["stack", "single"])
     def test_assemble_equals_fixed_order_sum(self, kind, rows):
-        # A BLAS that reorders the GEMM's sum over names breaks this.
+        # A BLAS that reorders the GEMM's sum over names breaks this.  Row 0 is
+        # fixed so that the single case sees a reorder too: the two Y entries
+        # that sum three nonzero terms (W12, Delta2, Delta3) round differently
+        # in reverse name order.  No V entry sums more than two nonzero terms
+        # in its real or its imaginary part, so no V case can detect a reorder.
         system = liouvillian._Y if kind is SystemKind.Y_FOUR_LEVEL else liouvillian._V
         rng = np.random.default_rng(31)
         weights = rng.normal(size=(50, len(system.names)))
         weights[::3, ::2] = -0.0
         weights[1::3, 1::2] = 0.0
+        fixed = dict(gamma1=0.01, gamma2=1.0, gamma3=0.01, gamma12=0.5, W12=1.0,
+                     Delta2=-2.0 ** -53, Delta3=-2.0 ** -53, Omega2=2.0, Omega3=2.0)
+        weights[0] = [fixed[name] for name in system.names]
         weights = weights[rows]
         dense = np.zeros(weights.shape[:-1] + system.pieces.shape[1:], dtype=complex)
         for w, piece in zip(np.moveaxis(weights, -1, 0), system.pieces):

@@ -251,14 +251,24 @@ class TestSteadyStateByIntegration:
 
 
 class TestDemodulate:
-    def test_recovers_synthetic_harmonic(self):
+    C = 0.3 - 0.7j
+
+    def demodulate_synthetic(self, t_end, n, window):
+        """demodulate a static part, the harmonic C and a counter-rotating one at delta 0.8."""
         delta, phi, om1 = 0.8, 0.4, 1e-3
-        c = 0.3 - 0.7j
-        t = np.linspace(0.0, 200.0, 80001)
-        signal = (0.25 + 0.1j) + c * om1 * np.exp(-1j * (delta * t - phi)) \
+        t = np.linspace(0.0, t_end, n)
+        signal = (0.25 + 0.1j) + self.C * om1 * np.exp(-1j * (delta * t - phi)) \
             + 0.05 * om1 * np.exp(1j * (delta * t - phi))
-        out = oracle.demodulate(t, signal, delta, phi, om1, window=60.0)
-        assert abs(out - c) < 1e-6
+        return oracle.demodulate(t, signal, delta, phi, om1, window=window)
+
+    def test_recovers_synthetic_harmonic(self):
+        assert abs(self.demodulate_synthetic(200.0, 80001, 60.0) - self.C) < 1e-6
+
+    def test_window_longer_than_series_takes_whole_periods(self):
+        # 20 time units hold two whole periods of delta = 0.8 (15.7); averaging
+        # all 20 instead leaves a relative error of 1.4e-2
+        out = self.demodulate_synthetic(20.0, 8001, 60.0)
+        assert abs(out - self.C) < 1e-4 * abs(self.C)
 
     def test_zero_probe_returns_zero(self):
         t = np.linspace(0, 10, 101)
@@ -276,6 +286,8 @@ class TestDemodulate:
         t = np.linspace(0, 100, 1001)
         with pytest.raises(ValueError, match="period"):
             oracle.demodulate(t, np.ones(1001), 0.5, 0.0, 1e-3, window=5.0)
+        with pytest.raises(ValueError, match="period"):   # a long window on a short series
+            oracle.demodulate(t[:51], np.ones(51), 0.5, 0.0, 1e-3, window=50.0)
 
     def test_agrees_with_linear_response_solve(self):
         # fast-decaying system so the transient dies well inside t_max
