@@ -35,11 +35,11 @@ def steady_state(liouv: LiouvillianSet) -> np.ndarray:
 
 
 def _blocks(values) -> list:
-    """A 1-d grid cut into consecutive blocks of at most _BLOCK points."""
+    """A 1-d grid cut into consecutive blocks of at most _BLOCK points (one, if empty)."""
     values = np.asarray(values, dtype=float)
     if values.ndim != 1:
         raise ValueError(f"a grid must be 1-d, got shape {values.shape}")
-    return [values[i:i + _BLOCK] for i in range(0, len(values), _BLOCK)]
+    return [values[i:i + _BLOCK] for i in range(0, max(len(values), 1), _BLOCK)]
 
 
 def _drive(liouv: LiouvillianSet, r0: np.ndarray) -> np.ndarray:
@@ -139,19 +139,20 @@ def probe_spectrum(params: SystemParams, delta1_values) -> tuple[np.ndarray, np.
     """Susceptibility and dispersion slope arrays over a detuning grid, a block per solve."""
     blocks = _blocks(delta1_values)
     resp = ProbeResponse(params)
-    parts = [resp.response(block) for block in blocks or [np.empty(0)]]
+    parts = [resp.response(block) for block in blocks]
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def interference_sweep(params: SystemParams, p_grid) -> np.ndarray:
     """Line-centre dispersion slope versus interference strength p = cos(theta), one per p."""
     p_grid = np.asarray(p_grid, dtype=float)
+    blocks = _blocks(p_grid)
     bad = p_grid[~((p_grid >= 0.0) & (p_grid <= 1.0))]
     if bad.size:
         raise ValueError(f"interference parameter p must lie in [0, 1], got {bad[0]}")
     delta = delta_from_delta1(0.0, params.Delta2, params.W12)
-    out = [np.empty(0)]
-    for block in _blocks(p_grid):
+    out = []
+    for block in blocks:
         liouv = build_stack(params, theta_deg=np.degrees(np.arccos(block)))
         _, d_r_plus = _harmonic(liouv, steady_state(liouv), delta)
         out.append(params.gamma2 * d_r_plus[:, liouv.index("13")].real)
@@ -164,9 +165,10 @@ def pump_sweep(params: SystemParams, delta2_grid) -> np.ndarray:
     The probe is off (Omega1 = 0) and Delta3 = -Delta2 is enforced pointwise.
     Returns one reconstructed density matrix per grid point, stacked.
     """
-    _check_fields({"Delta2": np.asarray(delta2_grid, dtype=float)})
+    blocks = _blocks(delta2_grid)  # first: the field check indexes a flat grid
+    _check_fields({"Delta2": np.concatenate(blocks)})
     out = []
-    for block in _blocks(delta2_grid):
+    for block in blocks:
         liouv = build_stack(params, Delta2=block, Delta3=-block)
         out.append(hermitian_reconstruct(steady_state(liouv)))
-    return np.concatenate(out) if out else np.array([])
+    return np.concatenate(out)

@@ -266,12 +266,16 @@ def demodulate(times, rho13, delta: float, phi: float, omega1: float,
     probe periods, divided by omega1; the counter-rotating and static
     components integrate out.
     delta must be finite and non-zero: at delta = 0 both probe harmonics
-    are static and cannot be told apart.
+    are static and cannot be told apart.  window must be > 0.
     """
     if not (math.isfinite(delta) and delta != 0.0):
         raise ValueError(f"delta must be finite and non-zero, got {delta!r}")
+    if not window > 0:
+        raise ValueError(f"window must be > 0, got {window!r}")
     times = np.asarray(times, dtype=float)
     rho13 = np.asarray(rho13, dtype=complex)
+    if times.shape != rho13.shape:
+        raise ValueError(f"times {times.shape} and rho13 {rho13.shape} differ in shape")
     if omega1 == 0.0:
         return 0.0 + 0.0j
 

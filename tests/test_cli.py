@@ -345,6 +345,22 @@ class TestConfigRoundTrip:
         row = [float(v) for v in out.read_text().splitlines()[1].split(",")]
         assert row[4] == 1.0 + 250.0 * row[3]
 
+    @pytest.mark.parametrize("command, flag, key, values, column", [
+        ("probe-spectrum", ["--k-value", "250"], "k_value", (250.0, None), "c_over_vg"),
+        ("dressed-evolve", ["--oracle-check"], "oracle_check", (True, False), "rho11_full"),
+    ], ids=["probe-spectrum", "dressed-evolve"])
+    def test_no_flag_carries_over_to_the_next_call(self, tmp_path, command, flag, key,
+                                                   values, column):
+        # in one process, as perfbench runs its jobs; the parser is built once
+        cfg = write_small_config(tmp_path / "input.json", command)
+        out = tmp_path / "out.csv"
+        for extra, expected in zip((flag, []), values):
+            assert run(command, "--config", str(cfg), *extra, "--out", str(out)) == 0
+            header = out.read_text().splitlines()[0].split(",")
+            emitted = json.loads((tmp_path / "out.csv.config.json").read_text())
+            assert (column in header) == bool(extra)
+            assert emitted[key] == expected and type(emitted[key]) is type(expected)
+
     def test_oracle_check_must_be_boolean(self, tmp_path, capsys):
         cfg = write_small_config(tmp_path / "input.json", "dressed-evolve")
         data = json.loads(cfg.read_text())

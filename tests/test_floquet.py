@@ -285,7 +285,9 @@ class TestStackedPaths:
     def test_empty_grids(self):
         chi, slope = floquet.probe_spectrum(FIG2B, [])
         assert chi.shape == slope.shape == floquet.interference_sweep(FIG3, []).shape == (0,)
-        assert floquet.pump_sweep(FIG8, []).shape == (0,)
+        # zero density matrices of the system's own size, as one point gives one
+        assert floquet.pump_sweep(FIG8, []).shape == (0, 4, 4)
+        assert floquet.pump_sweep(FIG5B, []).shape == (0, 3, 3)
 
     def test_one_point_grids(self):
         (chi,), (slope,) = floquet.probe_spectrum(FIG5B, [0.5])
@@ -319,10 +321,13 @@ class TestStackedPaths:
             raise AssertionError("a generator was built before the grid was checked")
         monkeypatch.setattr(floquet, "build_for", no_build)
         monkeypatch.setattr(floquet, "build_stack", no_build)
+        bad = grid.copy()
+        bad.flat[-1] = np.nan   # the shape is reported before any value check
         for sweep, p in ((floquet.probe_spectrum, FIG2B), (floquet.interference_sweep, FIG3),
                          (floquet.pump_sweep, FIG8)):
-            with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
-                sweep(p, grid)
+            for g in (grid, bad):
+                with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+                    sweep(p, g)
 
     def test_pump_sweep_rejects_nan_detuning(self):
         with pytest.raises(ParameterError, match="Delta2 must be finite, got nan"):

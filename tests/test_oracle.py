@@ -266,9 +266,10 @@ class TestDemodulate:
 
     def test_window_longer_than_series_takes_whole_periods(self):
         # 20 time units hold two whole periods of delta = 0.8 (15.7); averaging
-        # all 20 instead leaves a relative error of 1.4e-2
-        out = self.demodulate_synthetic(20.0, 8001, 60.0)
-        assert abs(out - self.C) < 1e-4 * abs(self.C)
+        # all 20 instead leaves a relative error of 1.4e-2; an infinite window is as long
+        for window in (60.0, np.inf):
+            out = self.demodulate_synthetic(20.0, 8001, window)
+            assert abs(out - self.C) < 1e-4 * abs(self.C)
 
     def test_zero_probe_returns_zero(self):
         t = np.linspace(0, 10, 101)
@@ -288,6 +289,19 @@ class TestDemodulate:
             oracle.demodulate(t, np.ones(1001), 0.5, 0.0, 1e-3, window=5.0)
         with pytest.raises(ValueError, match="period"):   # a long window on a short series
             oracle.demodulate(t[:51], np.ones(51), 0.5, 0.0, 1e-3, window=50.0)
+
+    @pytest.mark.parametrize("window", [0.0, -5.0, np.nan, -np.inf])
+    def test_rejects_window_that_is_not_positive(self, window):
+        t = np.linspace(0, 100, 1001)
+        for omega1 in (1e-3, 0.0):
+            with pytest.raises(ValueError, match="window must be > 0"):
+                oracle.demodulate(t, np.ones(1001), 0.5, 0.0, omega1, window)
+
+    @pytest.mark.parametrize("n_rho", [1000, 1002])
+    def test_rejects_series_of_different_lengths(self, n_rho):
+        t = np.linspace(0, 100, 1001)
+        with pytest.raises(ValueError, match=r"times \(1001,\) and rho13 \(%d,\)" % n_rho):
+            oracle.demodulate(t, np.ones(n_rho), 0.5, 0.0, 1e-3, 60.0)
 
     def test_agrees_with_linear_response_solve(self):
         # fast-decaying system so the transient dies well inside t_max
