@@ -15,7 +15,6 @@ from .liouvillian import (
 )
 from .floquet import (
     ProbeResponse,
-    group_velocity_ratio,
     interference_sweep,
     probe_spectrum,
     pump_sweep,

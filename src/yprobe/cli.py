@@ -2,9 +2,10 @@
 
 Subcommands reproduce each bundled scenario's dataset as CSV (full double
 precision) and expose the solvers for arbitrary parameters via flat JSON
-configuration files.  Every run also emits the resolved configuration next
-to its output, so any dataset can be regenerated byte-identically from the
-emitted file alone.
+configuration files.  A subcommand returns its outputs by file-name suffix
+("" is --out, "-" is stdout): a {header: column} table is written as CSV
+(with a JSON-records mirror under --json), text as is.  main writes them all
+and the resolved configuration, from which a rerun is byte-identical.
 """
 
 from __future__ import annotations
@@ -24,14 +25,6 @@ from ._csv import write_csv
 from .liouvillian import build_for
 from .params import ParameterError, SystemParams
 from .presets import PRESETS, get_preset
-
-
-def _write_csv(path: Path, header: list, columns: list, as_json: bool):
-    """Write equal-length columns (1-d, or 2-d blocks of columns) as CSV rows, full precision."""
-    write_csv(path, header, columns)
-    if as_json:
-        records = [dict(zip(header, row)) for row in np.column_stack(columns).tolist()]
-        Path(str(path) + ".json").write_text(json.dumps(records) + "\n")
 
 
 def _resolve_config(args) -> tuple[SystemParams, dict]:
@@ -75,53 +68,42 @@ def _resolve_config(args) -> tuple[SystemParams, dict]:
     return params, grid
 
 
-def cmd_probe_spectrum(params: SystemParams, out: Path, as_json: bool, *,
-                       delta1_min, delta1_max, n_points, k_value=None):
+def cmd_probe_spectrum(params: SystemParams, *, delta1_min, delta1_max, n_points, k_value=None):
     values = np.linspace(delta1_min, delta1_max, n_points)
     chi, slope = floquet.probe_spectrum(params, values)
-    header = ["delta1", "re_chi", "im_chi", "slope"]
-    columns = [values, chi.real, chi.imag, slope]
-    if k_value is not None:
-        header.append("c_over_vg")
-        columns.append(floquet.group_velocity_ratio(slope, k_value))
-    _write_csv(out, header, columns, as_json)
+    table = {"delta1": values, "re_chi": chi.real, "im_chi": chi.imag, "slope": slope}
+    if k_value is not None:  # c/vg: > 1 subluminal, < 1 superluminal, < 0 negative vg
+        table["c_over_vg"] = 1.0 + k_value * slope
+    return {"": table}
 
 
-def cmd_interference_sweep(params: SystemParams, out: Path, as_json: bool, *,
-                           p_min, p_max, n_points):
+def cmd_interference_sweep(params: SystemParams, *, p_min, p_max, n_points):
     p_values = np.linspace(p_min, p_max, n_points)
-    slope = floquet.interference_sweep(params, p_values)
-    _write_csv(out, ["p", "slope_normalized"], [p_values, slope], as_json)
+    return {"": {"p": p_values,
+                 "slope_normalized": floquet.interference_sweep(params, p_values)}}
 
 
-def cmd_pump_sweeps(params: SystemParams, out: Path, as_json: bool, *,
-                    delta2_min, delta2_max, n_points):
+def cmd_pump_sweeps(params: SystemParams, *, delta2_min, delta2_max, n_points):
     d2_values = np.linspace(delta2_min, delta2_max, n_points)
     rhos = floquet.pump_sweep(params, d2_values)
     # Populations of every level but the eliminated ground level (the last),
     # and the pump coherences rho_k,k+1 from level 2 on.
-    size = rhos.shape[-1]
-    pop_header, pops = ["delta2"], [d2_values]
-    for k in range(1, size):
-        pop_header.append(f"rho{k}{k}")
-        pops.append(rhos[:, k - 1, k - 1].real)
-    coh_header, cohs = ["delta2"], [d2_values]
-    for k in range(2, size):
-        coh_header += [f"re_rho{k}{k + 1}", f"im_rho{k}{k + 1}"]
-        cohs += [rhos[:, k - 1, k].real, rhos[:, k - 1, k].imag]
-    _write_csv(out.with_name(out.stem + "_populations.csv"), pop_header, pops, as_json)
-    _write_csv(out.with_name(out.stem + "_coherences.csv"), coh_header, cohs, as_json)
+    pops, cohs = {"delta2": d2_values}, {"delta2": d2_values}
+    for k in range(1, rhos.shape[-1]):
+        pops[f"rho{k}{k}"] = rhos[:, k - 1, k - 1].real
+    for k in range(2, rhos.shape[-1]):
+        cohs[f"re_rho{k}{k + 1}"] = rhos[:, k - 1, k].real
+        cohs[f"im_rho{k}{k + 1}"] = rhos[:, k - 1, k].imag
+    return {"_populations.csv": pops, "_coherences.csv": cohs}
 
 
-def cmd_dressed_evolve(params: SystemParams, out: Path, as_json: bool, *,
-                       t_max, dt, store_every, oracle_check=False):
-    table = dressed.secular_table_from_params(params)
-    times, states = dressed.evolve_secular(table, dressed.MIDDLE_STATE, t_max, dt)
-    header = ["t", "rho11", "rho_pp", "rho_mm", "rho_dd", "rho_1m"]
-    columns = [times[::store_every], states[::store_every]]
+def cmd_dressed_evolve(params: SystemParams, *, t_max, dt, store_every, oracle_check=False):
+    rates = dressed.secular_table_from_params(params)
+    times, states = dressed.evolve_secular(rates, dressed.MIDDLE_STATE, t_max, dt)
+    names = ["rho11", "rho_pp", "rho_mm", "rho_dd", "rho_1m"]
+    table = dict(zip(["t", *names], [times[::store_every], *states[::store_every].T]))
 
-    steady = dressed.secular_steady_state(table)
-    summary = {"steady": dict(zip(header[1:], map(float, steady)))}
+    summary = {"steady": dict(zip(names, map(float, dressed.secular_steady_state(rates))))}
     if oracle_check:
         liouv = build_for(params.with_(Omega1=0.0))
         init = np.zeros(liouv.dim, dtype=complex)
@@ -130,22 +112,18 @@ def cmd_dressed_evolve(params: SystemParams, out: Path, as_json: bool, *,
         cfg = oracle.TrajectoryConfig(t_max=t_max, dt=dt * store_every / n_per,
                                       initial=init, store_every=n_per)
         t_full, s_full = oracle.integrate_full(liouv, params.with_(Omega1=0.0), cfg)
-        header.append("rho11_full")
-        columns.append(np.interp(times[::store_every], t_full, s_full[:, 0].real))
-        summary["full_me_rho11_steady"] = float(
-            floquet.steady_state(liouv)[0].real)
-
-    _write_csv(out, header, columns, as_json)
-    print(json.dumps(summary))
+        table["rho11_full"] = np.interp(times[::store_every], t_full, s_full[:, 0].real)
+        summary["full_me_rho11_steady"] = float(floquet.steady_state(liouv)[0].real)
+    return {"": table, "-": json.dumps(summary) + "\n"}
 
 
-def cmd_dump_liouvillian(params: SystemParams, out: Path, as_json: bool):
+def cmd_dump_liouvillian(params: SystemParams):
     liouv = build_for(params)
     record = {"labels": list(liouv.labels)}
     for name in ("m0", "m1", "m_minus1", "sigma", "sigma1", "sigma_minus1"):
         a = getattr(liouv, name)
         record[name] = np.stack([a.real, a.imag], axis=-1).tolist()
-    out.write_text(json.dumps(record) + "\n")
+    return {"": json.dumps(record) + "\n"}
 
 
 _COMMANDS = {
@@ -194,13 +172,25 @@ def main(argv=None) -> int:
     try:
         params, grid = _resolve_config(args)
         out = Path(args.out)
-        _COMMANDS[args.command](params, out, getattr(args, "json", False), **grid)
+        outputs = _COMMANDS[args.command](params, **grid)
+        stdout = outputs.pop("-", "")
+        for suffix, output in outputs.items():
+            path = out.with_name(out.stem + suffix) if suffix else out
+            if isinstance(output, str):
+                path.write_text(output)
+                continue
+            write_csv(path, list(output), list(output.values()))
+            if getattr(args, "json", False):
+                rows = np.column_stack(list(output.values())).tolist()
+                Path(f"{path}.json").write_text(
+                    json.dumps([dict(zip(output, row)) for row in rows]) + "\n")
         Path(f"{out}.config.json").write_text(
             json.dumps({**params.to_dict(), **grid}, indent=2) + "\n")
     except Exception as exc:  # pragma: no cover - exercised via CLI tests
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record), file=sys.stderr)
         return 1
+    sys.stdout.write(stdout)
     return 0
 
 

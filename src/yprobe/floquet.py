@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linalg
 from .liouvillian import LiouvillianSet, build_for, build_stack, hermitian_reconstruct
-from .params import SystemParams, _check_fields, delta_from_delta1
+from .params import ParameterError, SystemParams, _check_fields, _is_real, delta_from_delta1
 
 # Grid points per stacked solve.  One block's matrices take about 0.5 MB
 # (15x15); stacking a whole grid at once would grow the working set with it.
@@ -35,11 +35,12 @@ def steady_state(liouv: LiouvillianSet) -> np.ndarray:
 
 
 def _blocks(values) -> list:
-    """A 1-d grid cut into consecutive blocks of at most _BLOCK points (one, if empty)."""
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1:
-        raise ValueError(f"a grid must be 1-d, got shape {values.shape}")
-    return [values[i:i + _BLOCK] for i in range(0, max(len(values), 1), _BLOCK)]
+    """A 1-d real grid as floats, in blocks of at most _BLOCK points (one block, if empty)."""
+    values = np.asarray(values)
+    if values.ndim != 1 or not _is_real(values):  # before a bool or text is cast to float
+        raise ParameterError(f"a grid must be 1-d and real, got shape {values.shape} "
+                             f"and dtype {values.dtype}")
+    return np.split(values.astype(float), range(_BLOCK, len(values), _BLOCK))
 
 
 def _drive(liouv: LiouvillianSet, r0: np.ndarray) -> np.ndarray:
@@ -130,11 +131,6 @@ class ProbeResponse:
         return gamma2 * r_plus[..., self._i13], gamma2 * d_r_plus[..., self._i13].real
 
 
-def group_velocity_ratio(slope_normalized: float, K: float) -> float:
-    """c/vg = 1 + K * slope; > 1 subluminal, < 1 superluminal, < 0 negative vg."""
-    return 1.0 + K * slope_normalized
-
-
 def probe_spectrum(params: SystemParams, delta1_values) -> tuple[np.ndarray, np.ndarray]:
     """Susceptibility and dispersion slope arrays over a detuning grid, a block per solve."""
     blocks = _blocks(delta1_values)
@@ -145,8 +141,8 @@ def probe_spectrum(params: SystemParams, delta1_values) -> tuple[np.ndarray, np.
 
 def interference_sweep(params: SystemParams, p_grid) -> np.ndarray:
     """Line-centre dispersion slope versus interference strength p = cos(theta), one per p."""
-    p_grid = np.asarray(p_grid, dtype=float)
     blocks = _blocks(p_grid)
+    p_grid = np.concatenate(blocks)
     bad = p_grid[~((p_grid >= 0.0) & (p_grid <= 1.0))]
     if bad.size:
         raise ValueError(f"interference parameter p must lie in [0, 1], got {bad[0]}")

@@ -184,11 +184,11 @@ def build_stack(params: SystemParams, **columns) -> LiouvillianSet:
 
     build_stack(p, Delta2=d, Delta3=-d) gives m0 and sigma a leading axis whose
     entry i is bit-equal to build_for(p.with_(Delta2=d[i], Delta3=-d[i])).  The
-    columns pass the checks of SystemParams; unused fields are then ignored.
+    columns, uncast, pass the checks of SystemParams; unused fields are then ignored.
     """
     if not set(columns) <= set(_FLOAT_FIELDS):
         raise ParameterError(f"cannot sweep {sorted(set(columns) - set(_FLOAT_FIELDS))}")
-    columns = {name: np.asarray(v, dtype=float) for name, v in columns.items()}
+    columns = {name: np.asarray(v) for name, v in columns.items()}
     shapes = {name: v.shape for name, v in columns.items()}
     if len(set(shapes.values())) != 1 or len(shape := next(iter(shapes.values()))) != 1:
         raise ParameterError(f"expected 1-d columns of one length, got shapes {shapes}")

@@ -220,10 +220,7 @@ def integrate_full(liouv: LiouvillianSet, params: SystemParams,
         raise IntegrationError(
             f"dt = {dt} exceeds the stability bound {dt_max:.3e} for this generator"
         )
-    if config.initial is None:
-        r = np.zeros(liouv.dim, dtype=complex)
-    else:
-        r = np.asarray(config.initial, dtype=complex)
+    r = np.asarray(np.zeros(liouv.dim) if config.initial is None else config.initial, dtype=complex)
     if r.shape != (liouv.dim,):
         raise ValueError(f"initial state must have {liouv.dim} components, got {r.shape}")
 
@@ -266,7 +263,8 @@ def demodulate(times, rho13, delta: float, phi: float, omega1: float,
     probe periods, divided by omega1; the counter-rotating and static
     components integrate out.
     delta must be finite and non-zero: at delta = 0 both probe harmonics
-    are static and cannot be told apart.  window must be > 0.
+    are static and cannot be told apart.  window must be > 0.  times and
+    rho13 must be 1-d series of one length, times non-empty and increasing.
     """
     if not (math.isfinite(delta) and delta != 0.0):
         raise ValueError(f"delta must be finite and non-zero, got {delta!r}")
@@ -274,8 +272,10 @@ def demodulate(times, rho13, delta: float, phi: float, omega1: float,
         raise ValueError(f"window must be > 0, got {window!r}")
     times = np.asarray(times, dtype=float)
     rho13 = np.asarray(rho13, dtype=complex)
-    if times.shape != rho13.shape:
-        raise ValueError(f"times {times.shape} and rho13 {rho13.shape} differ in shape")
+    if times.ndim != 1 or times.shape != rho13.shape:
+        raise ValueError(f"times {times.shape} and rho13 {rho13.shape} must be 1-d of one length")
+    if times.size == 0 or not (np.diff(times) > 0).all():
+        raise ValueError("times must be non-empty and increase from each sample to the next")
     if omega1 == 0.0:
         return 0.0 + 0.0j
 

@@ -1,3 +1,4 @@
+import builtins
 import json
 import math
 import warnings
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from yprobe import dressed, floquet, oracle
+from yprobe import cli, dressed, floquet, oracle
 from yprobe.cli import main
 from yprobe.liouvillian import build_for
 from yprobe.presets import get_preset
@@ -44,6 +45,23 @@ class TestProbeSpectrum:
         lines = out.read_text().splitlines()
         assert lines[0].endswith(",c_over_vg")
         assert len(lines[1].split(",")) == 5
+
+    def test_c_over_vg_switches_from_sub_to_superluminal(self, tmp_path):
+        # at line centre, K = 250: no interference (fig2a, theta = 90 deg) slows
+        # the probe, and the interference of fig2b (theta = 15 deg) makes vg negative
+        c_over_vg = {}
+        for name in ("fig2a", "fig2b"):
+            cfg = write_config(tmp_path / f"{name}.json", (name, {
+                "delta1_min": 0.0, "delta1_max": 0.0, "n_points": 1}))
+            out = tmp_path / f"{name}.csv"
+            assert run("probe-spectrum", "--config", str(cfg), "--k-value", "250",
+                       "--out", str(out)) == 0
+            header, row = out.read_text().splitlines()
+            c_over_vg[name] = dict(zip(header.split(","), map(float, row.split(","))))
+        assert get_preset("fig2a").params.theta_deg == 90.0
+        assert get_preset("fig2b").params.theta_deg == 15.0
+        assert c_over_vg["fig2a"]["c_over_vg"] > 1.0
+        assert c_over_vg["fig2b"]["c_over_vg"] < 0.0
 
     def test_json_mirror(self, tmp_path):
         out = tmp_path / "m.csv"
@@ -406,7 +424,7 @@ class TestColumnsMatchLibrary:
         chi, slope = floquet.probe_spectrum(params, delta1)
         assert_columns(out, {"delta1": delta1, "re_chi": chi.real, "im_chi": chi.imag,
                              "slope": slope,
-                             "c_over_vg": floquet.group_velocity_ratio(slope, 250.0)})
+                             "c_over_vg": 1.0 + 250.0 * slope})
 
     def test_interference_sweep(self, tmp_path):
         out, params, grid = self._run(tmp_path, "interference-sweep",
@@ -463,3 +481,68 @@ class TestColumnsMatchLibrary:
         steady = dressed.secular_steady_state(table)
         assert summary["steady"] == dict(zip(names, steady.tolist()))
         assert summary["full_me_rho11_steady"] == floquet.steady_state(lv)[0].real
+
+
+# Each command's options switched on, so that every output column is made.
+OPTIONS = {"probe-spectrum": {"k_value": 250.0}, "dressed-evolve": {"oracle_check": True}}
+
+
+def call_command(command):
+    preset, grid = SMALL_RUNS[command]
+    return cli._COMMANDS[command](get_preset(preset).params, **grid, **OPTIONS.get(command, {}))
+
+
+class TestCommandContract:
+    """A command returns {file-name suffix: output}; only main writes files and stdout."""
+
+    @pytest.mark.parametrize("command", SMALL_RUNS)
+    def test_command_returns_its_outputs_and_writes_nothing(self, tmp_path, monkeypatch,
+                                                            capsys, command):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a command wrote a file")
+        monkeypatch.chdir(tmp_path)
+        for owner, name in ((cli, "write_csv"), (builtins, "open"), (Path, "open"),
+                            (Path, "write_text"), (Path, "write_bytes")):
+            monkeypatch.setattr(owner, name, refuse)
+        outputs = call_command(command)
+        monkeypatch.undo()
+        assert list(tmp_path.iterdir()) == []
+        assert capsys.readouterr() == ("", "")
+        assert outputs and all(isinstance(suffix, str) for suffix in outputs)
+        for output in outputs.values():
+            if isinstance(output, str):
+                continue
+            lengths = {np.shape(column) for column in output.values()}
+            assert all(isinstance(header, str) for header in output)
+            assert len(lengths) == 1 and len(lengths.pop()) == 1
+
+    @pytest.mark.parametrize("command", SMALL_RUNS)
+    def test_main_writes_each_returned_output(self, tmp_path, capsys, command):
+        outputs = call_command(command)
+        cfg = write_config(tmp_path / "input.json", SMALL_RUNS[command])
+        cfg.write_text(json.dumps(dict(json.loads(cfg.read_text()), **OPTIONS.get(command, {}))))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        json_flag = ["--json"] if command != "dump-liouvillian" else []
+        assert run(command, "--config", str(cfg), *json_flag,
+                   "--out", str(out_dir / "run.csv")) == 0
+        assert capsys.readouterr() == (outputs.pop("-", ""), "")
+        expected = {"run.csv.config.json"}
+        for suffix, output in outputs.items():
+            name = "run" + suffix if suffix else "run.csv"
+            if isinstance(output, str):
+                assert (out_dir / name).read_text() == output
+                expected.add(name)
+            else:
+                assert list(read_columns(out_dir / name)) == list(output)
+                expected |= {name, name + ".json"}
+        assert {f.name for f in out_dir.iterdir()} == expected
+
+    def test_dressed_evolve_into_a_missing_directory_prints_nothing(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "evolve.csv"
+        assert run("dressed-evolve", "--preset", "fig7", "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert json.loads(line)["error"] == "FileNotFoundError"
+        assert not (tmp_path / "missing").exists()

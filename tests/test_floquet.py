@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from yprobe import floquet, linalg
+from yprobe import floquet, linalg, liouvillian
 from yprobe.liouvillian import build_for, build_liouvillian, hermitian_reconstruct
 from yprobe.params import ParameterError, SystemKind, SystemParams, delta_from_delta1
 from yprobe.presets import PRESETS, get_preset
@@ -144,17 +144,6 @@ class TestDispersionSlope:
         slope = resp.response(0.75)[1]
         assert slope == pytest.approx(richardson, rel=1e-6)
         assert slope == pytest.approx(resolvent_slope(FIG3, 0.75), rel=1e-10)
-
-
-class TestGroupVelocityRatio:
-    def test_zero_slope_is_vacuum(self):
-        assert floquet.group_velocity_ratio(0.0, 5.0) == 1.0
-
-    def test_positive_slope_subluminal(self):
-        assert floquet.group_velocity_ratio(0.4, 2.0) > 1.0
-
-    def test_steep_negative_slope_negative_velocity(self):
-        assert floquet.group_velocity_ratio(-1.0, 2.0) < 0.0
 
 
 class TestSweeps:
@@ -328,6 +317,22 @@ class TestStackedPaths:
             for g in (grid, bad):
                 with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
                     sweep(p, g)
+
+    @pytest.mark.parametrize("grid", [[True], ["1"], [1j]], ids=["bool", "text", "complex"])
+    def test_grid_of_non_real_entries_rejected_before_any_build(self, monkeypatch, grid):
+        # SystemParams refuses Delta2=True and Delta2="1"; a grid or a column refuses
+        # such entries too, rather than running them as 1.0
+        def no_build(*args, **kwargs):
+            raise AssertionError("a generator was built before the grid was checked")
+        monkeypatch.setattr(floquet, "build_for", no_build)
+        monkeypatch.setattr(floquet, "build_stack", no_build)
+        monkeypatch.setattr(liouvillian, "_assemble", no_build)
+        for sweep, p in ((floquet.probe_spectrum, FIG2B), (floquet.interference_sweep, FIG3),
+                         (floquet.pump_sweep, FIG8)):
+            with pytest.raises(ParameterError, match="a grid must be 1-d and real"):
+                sweep(p, grid)
+        with pytest.raises(ParameterError, match="Delta2 must be a real number"):
+            liouvillian.build_stack(FIG8, Delta2=grid)
 
     def test_pump_sweep_rejects_nan_detuning(self):
         with pytest.raises(ParameterError, match="Delta2 must be finite, got nan"):

@@ -303,6 +303,20 @@ class TestDemodulate:
         with pytest.raises(ValueError, match=r"times \(1001,\) and rho13 \(%d,\)" % n_rho):
             oracle.demodulate(t, np.ones(n_rho), 0.5, 0.0, 1e-3, 60.0)
 
+    def test_rejects_times_that_are_empty_or_do_not_increase(self):
+        t = np.linspace(0, 100, 1001)
+        y = np.exp(-0.8j * t)
+        for times, rho13 in ((t[::-1], y[::-1]),
+                             (np.append(t, t[-1]), np.append(y, y[-1])),   # a repeated sample
+                             (t[:0], y[:0])):                               # no sample at all
+            with pytest.raises(ValueError, match="times must be non-empty and increase"):
+                oracle.demodulate(times, rho13, 0.8, 0.0, 1e-3, 60.0)
+
+    def test_rejects_series_that_are_not_1d(self):
+        t = np.linspace(0, 100, 1000).reshape(2, 500)
+        with pytest.raises(ValueError, match=r"times \(2, 500\) and rho13 \(2, 500\) must be 1-d"):
+            oracle.demodulate(t, np.ones(t.shape), 0.8, 0.0, 1e-3, 60.0)
+
     def test_agrees_with_linear_response_solve(self):
         # fast-decaying system so the transient dies well inside t_max
         p = FIG2B.with_(gamma1=0.6, gamma3=0.4, Omega1=1e-3)
