@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from yprobe import floquet, linalg, liouvillian
+from yprobe import cli, floquet, linalg, liouvillian
 from yprobe.liouvillian import build_for, build_liouvillian, hermitian_reconstruct
 from yprobe.params import ParameterError, SystemKind, SystemParams, delta_from_delta1
 from yprobe.presets import PRESETS, get_preset
@@ -144,6 +144,30 @@ class TestDispersionSlope:
         slope = resp.response(0.75)[1]
         assert slope == pytest.approx(richardson, rel=1e-6)
         assert slope == pytest.approx(resolvent_slope(FIG3, 0.75), rel=1e-10)
+
+
+class TestGroupVelocityRatio:
+    # c/vg = 1 + K * slope is the c_over_vg column of probe-spectrum
+    def c_over_vg(self, params, k_value):
+        (table,) = cli.cmd_probe_spectrum(params, delta1_min=0.0, delta1_max=0.0,
+                                          n_points=1, k_value=k_value).values()
+        return table["c_over_vg"][0], table["slope"][0]
+
+    def test_zero_slope_is_vacuum(self):
+        # no dispersive medium (K = 0): the probe travels at c
+        assert self.c_over_vg(FIG2B, 0.0)[0] == 1.0
+
+    def test_positive_slope_subluminal(self):
+        # fig2a (theta = 90 deg, no interference) slows the probe at line centre
+        assert FIG2A.theta_deg == 90.0
+        c_over_vg, slope = self.c_over_vg(FIG2A, 250.0)
+        assert slope > 0 and c_over_vg > 1.0
+
+    def test_steep_negative_slope_negative_velocity(self):
+        # the interference of fig2b (theta = 15 deg) makes vg negative at line centre
+        assert FIG2B.theta_deg == 15.0
+        c_over_vg, slope = self.c_over_vg(FIG2B, 250.0)
+        assert slope < 0 and c_over_vg < 0.0
 
 
 class TestSweeps:
