@@ -123,8 +123,10 @@ class ProbeResponse:
 
     def response(self, delta1) -> tuple:
         """Susceptibility and dispersion slope d Re(chi)/d Delta1 at delta1 (scalar or array)."""
-        delta = delta_from_delta1(np.asarray(delta1, dtype=float),
-                                  self.params.Delta2, self.params.W12)
+        delta1 = np.asarray(delta1)
+        if not _is_real(delta1):  # before a bool or text is cast to float
+            raise ParameterError(f"delta1 must be real, got dtype {delta1.dtype}")
+        delta = delta_from_delta1(delta1.astype(float), self.params.Delta2, self.params.W12)
         r_plus, d_r_plus = self.harmonic(delta)
         gamma2 = self.params.gamma2
         # d delta / d Delta1 = 1, so the delta-derivative is the slope.

@@ -3,17 +3,17 @@
 Independent cross-check for the linear-response path: the generator with
 its explicit probe phase factors is stepped with a fixed-step classical
 4th-order method, and the probe-locked harmonic of rho13 is extracted by
-demodulation over the periodic steady regime.  One step is a linear map of
-the augmented state [R; 1], precomputed once per trajectory from the
-generator matrices: with the probe off it is a constant matrix, composed
-over the stored samples and walked by doubling; with the probe on it is a
-Laurent polynomial in the probe phase, and so is a block of steps, which is
-composed over the stored samples (blocks of up to BLOCK_MAX steps).  The
-block maps are evaluated a chunk at a time, by one GEMM of the phases, taken
-from the exact step each map starts at, against the Laurent coefficients;
-the walk is then one dim x (dim + 1) product per map.  Beyond the generator
-matrices nothing here is shared with the Floquet solves: the one linalg
-helper it calls, power_orbit, is not on the linear-response path.
+demodulation over the periodic steady regime.  A step is a linear map of the
+augmented state [R; 1], written once as the four stages from a start phase
+z of the probe.  With the probe off it is one constant matrix, whose orbit
+at the stored samples is walked by doubling.  With the probe on it is a
+Laurent polynomial of degree 4 in z, and a block of b steps (b up to
+BLOCK_MAX) one of degree 4b; each is read off its values at the roots of
+unity by one discrete Fourier transform.  The block maps are evaluated a
+chunk at a time by one GEMM of their exact start phases against the
+coefficients, and the walk is one dim x (dim + 1) product per map.  Beyond
+the generator matrices nothing here is shared with the Floquet solves: the
+one linalg helper it calls, power_orbit, is not on the linear-response path.
 """
 
 from __future__ import annotations
@@ -66,70 +66,48 @@ class TrajectoryConfig:
     store_every: int = 1
 
 
-def _step_coefficients(liouv: LiouvillianSet, omega1: float, delta: float,
-                       dt: float) -> np.ndarray:
-    """Laurent coefficients T_j, j = -4..4, of one classical 4th-order step.
+def _generator(liouv: LiouvillianSet, omega1: float) -> np.ndarray:
+    """G-1, G0, G+1 of the generator of x = [R; 1], shape (3, dim + 1, dim + 1).
 
-    On x = [R; 1] the equation is dx/dt = G(z) x with
-    G(z) = G0 + Omega1 (z G1 + G-1 / z) and z = exp(-i(delta t - Phi)).
-    The four stages sit at z, z w, z w and z w^2 with w = exp(-i delta dt / 2),
-    so the step from time t is x -> sum_j z(t)^j T_j x.  Returns an array of
-    shape (9, dim + 1, dim + 1); T[4], the z^0 term, is the whole step when
-    Omega1 = 0.
+    dx/dt = (G0 + z G+1 + G-1 / z) x, z = exp(-i(delta t - Phi)); G+-1 carry Omega1.
     """
     dim = liouv.dim
-    g = np.zeros((3, dim + 1, dim + 1), dtype=complex)    # z^-1, z^0, z^+1
+    g = np.zeros((3, dim + 1, dim + 1), dtype=complex)
     for row, m, s, scale in ((0, liouv.m_minus1, liouv.sigma_minus1, omega1),
                              (1, liouv.m0, liouv.sigma, 1.0),
                              (2, liouv.m1, liouv.sigma1, omega1)):
         g[row, :dim, :dim] = scale * m
         g[row, :dim, dim] = -scale * s
-    w = np.exp(-0.5j * delta * dt)
-
-    def times_g(gz, p):
-        """gz(z) p(z), for p of degree at most 3."""
-        out = gz[1] @ p
-        out[:-1] += gz[0] @ p[1:]
-        out[1:] += gz[2] @ p[:-1]
-        return out
-
-    eye = np.zeros((9, dim + 1, dim + 1), dtype=complex)
-    eye[4] = np.eye(dim + 1)
-    half = g * np.array([1.0 / w, 1.0, w])[:, None, None]
-    full = g * np.array([1.0 / w ** 2, 1.0, w ** 2])[:, None, None]
-    k1 = times_g(g, eye)
-    k2 = times_g(half, eye + 0.5 * dt * k1)
-    k3 = times_g(half, eye + 0.5 * dt * k2)
-    k4 = times_g(full, eye + dt * k3)
-    return eye + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return g
 
 
-def _compose(step: np.ndarray, delta: float, dt: float, b: int) -> np.ndarray:
-    """Laurent coefficients U_n, n = -4b..4b, of b consecutive steps.
+def _departure(g: np.ndarray, z, delta: float, dt: float) -> np.ndarray:
+    """S - I of one classical 4th-order step S from each start phase in z.
 
-    The step from time t is x -> sum_i z(t)^i T_i x, and z advances by
-    w = exp(-i delta dt) per step, so b steps from t are x -> sum_n z(t)^n U_n x
-    with U^(s+1)_n = sum_i w^(s i) T_i U^(s)_(n-i), the later step on the left.
-    The products are formed on the departures from the identity,
-    A = T - I and D = U - I, so their rounding is relative to the step's
-    small part rather than to the identity.
+    The stages sit at z, z w, z w and z w^2 with w = exp(-i delta dt / 2).
+    Returns shape np.shape(z) + (dim + 1, dim + 1).
     """
-    if b == 1:
-        return step
-    eye = np.eye(step.shape[-1])
-    a = step.copy()
-    a[4] -= eye
-    d, powers = a, np.arange(-4, 5)
-    for s in range(1, b):
-        t = a * np.exp(-1j * delta * dt * s * powers)[:, None, None]
-        nxt = np.zeros((len(d) + 8,) + d.shape[1:], dtype=complex)
-        nxt[4:-4] = d
-        nxt[4 * s:4 * s + 9] += t
-        for i, t_i in enumerate(t):
-            nxt[i:i + len(d)] += t_i @ d
-        d = nxt
-    d[4 * b] += eye
-    return d
+    w = np.exp(-0.5j * delta * dt)
+    z = np.asarray(z)[..., None, None]
+    eye = np.eye(g.shape[-1])
+    g_start, g_mid, g_end = (g[1] + u * g[2] + g[0] / u for u in (z, z * w, z * w * w))
+    k1 = g_start
+    k2 = g_mid @ (eye + 0.5 * dt * k1)
+    k3 = g_mid @ (eye + 0.5 * dt * k2)
+    k4 = g_end @ (eye + dt * k3)
+    return (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _laurent(departure, h: int) -> np.ndarray:
+    """Coefficients, z^-h first, of a Laurent polynomial departure(z) of degree h.
+
+    Read off its values at the 2h + 1 roots of unity z_m: the coefficient of
+    z^j is the mean of departure(z_m) z_m^-j, a DFT as one matrix product.
+    """
+    n = 2 * h + 1
+    m = np.arange(n)
+    dft = np.exp(-2j * np.pi * (np.outer(np.arange(-h, h + 1), m) % n) / n) / n
+    return np.tensordot(dft, departure(np.exp(2j * np.pi * m / n)), 1)
 
 
 def _laurent_orbit(coeffs: np.ndarray, x0: np.ndarray, stored: np.ndarray,
@@ -171,18 +149,35 @@ def _laurent_orbit(coeffs: np.ndarray, x0: np.ndarray, stored: np.ndarray,
     return out
 
 
-def _probe_on_orbit(step: np.ndarray, x0: np.ndarray, stored: np.ndarray, every: int,
+def _probe_on_orbit(g: np.ndarray, x0: np.ndarray, stored: np.ndarray, every: int,
                     delta: float, phi: float, dt: float) -> np.ndarray:
     """States after the step counts in stored, walked in blocks of b steps.
 
     b is the largest divisor of every up to BLOCK_MAX, so each stored sample
     but the last ends a block; the fewer than b steps left before the last
-    one are single steps.
+    one are single steps.  z advances by v = exp(-i delta dt) per step, so a
+    block's value at z is the product of the steps at z v^s, s < b, each
+    evaluated from the step's 9 coefficients.  The products are formed on
+    the departures from I, D <- A + D + A D with the later step on the left,
+    so their rounding is relative to the steps' small parts.
     """
     b = max(d for d in range(1, BLOCK_MAX + 1) if every % d == 0)
+    a = _laurent(lambda z: _departure(g, z, delta, dt), 4)
+
+    def block(z):
+        d = np.zeros((len(z),) + a.shape[1:], dtype=complex)
+        for s in range(b):
+            phases = (z * np.exp(-1j * delta * dt * s))[:, None] ** np.arange(-4, 5)
+            a_s = np.tensordot(phases, a, 1)
+            d += a_s @ d
+            d += a_s
+        return d
+
+    step, blocks = a.copy(), (_laurent(block, 4 * b) if b > 1 else a.copy())
+    step[4] += np.eye(len(x0))
+    blocks[4 * b] += np.eye(len(x0))
     n_steps = stored[-1]
     n_main = n_steps - n_steps % b
-    blocks = _compose(step, delta, dt, b)
     if n_main == n_steps:
         return _laurent_orbit(blocks, x0, stored, delta, phi, dt)
     head = stored[:-1]
@@ -232,11 +227,12 @@ def integrate_full(liouv: LiouvillianSet, params: SystemParams,
         stored = np.append(stored, n_steps)
     times = stored * dt
     x0 = np.append(r, 1.0)
-    coeffs = _step_coefficients(liouv, params.Omega1, delta, dt)
+    g = _generator(liouv, params.Omega1)
     if params.Omega1 == 0.0:
-        states = linalg.power_orbit(coeffs[4], x0, n_steps, every)
+        step = np.eye(liouv.dim + 1) + _departure(g, 1.0, delta, dt)
+        states = linalg.power_orbit(step, x0, n_steps, every)
     else:
-        states = _probe_on_orbit(coeffs, x0, stored, every, delta, params.Phi, dt)
+        states = _probe_on_orbit(g, x0, stored, every, delta, params.Phi, dt)
     finite = np.isfinite(states[1:].view(float)).all(axis=1)
     if not finite.all():
         raise IntegrationError(

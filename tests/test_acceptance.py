@@ -12,7 +12,7 @@ import pytest
 from yprobe import dressed, floquet, oracle
 from yprobe.liouvillian import build_for, build_liouvillian, hermitian_reconstruct
 from yprobe.params import SystemParams
-from yprobe.presets import get_preset
+from yprobe.presets import PRESETS, get_preset
 
 FIG2A = get_preset("fig2a").params
 FIG2B = get_preset("fig2b").params
@@ -175,3 +175,32 @@ def test_10_negligible_pump_absorption(capsys):
     rho = floquet.pump_sweep(FIG8, [0.0])[0]
     ok = all(abs(r.imag) <= 0.01 * r.real for r in (rho[1, 2], rho[2, 3]))
     report(capsys, 10, "negligible pump absorption", ok)
+
+
+def test_11_pulse_delay_switch(capsys):
+    # A Gaussian probe pulse at Delta1 = 0 (sigma_t = 50) through a medium that
+    # multiplies its spectrum by H = exp(i a chi(Delta1)).  With
+    # E(t) = sum E(Delta1) exp(-i Delta1 t), arg H = a Re chi delays the pulse
+    # by a slope(0); a makes that +-5, a tenth of sigma_t.  The spectra are
+    # written analytically, never as an FFT of the sampled pulse: that FFT's
+    # round-off of ~1e-17 at every detuning is amplified by exp(-a Im chi),
+    # about e^77 at fig2b's gain peaks, and the output is noise.  The analytic
+    # Gaussian underflows to exact zeros there.
+    n, span, sigma = 2 ** 14, 4000.0, 50.0
+    w = 2 * np.pi * np.fft.fftfreq(n, span / n)
+    t = np.fft.fftfreq(n) * span
+    ok, delay, energy = True, {}, {}
+    for name, preset in PRESETS.items():
+        if "delta1_min" not in preset.grid:   # spectrum presets only
+            continue
+        chi, slope = floquet.probe_spectrum(preset.params, w)   # w[0] = 0
+        a = 5.0 / abs(slope[0])
+        e_in, e_out = (np.exp(-0.5 * (w * sigma) ** 2 + 1j * x * chi) for x in (0.0, a))
+        p_in, p_out = (np.abs(np.fft.fft(e)) ** 2 for e in (e_in, e_out))
+        delay[name] = t @ p_out / p_out.sum() - t @ p_in / p_in.sum()
+        energy[name] = p_out.sum() / p_in.sum()
+        # measured worst 1.2e-3 (fig2b)
+        ok &= abs(delay[name] - a * slope[0]) <= 1e-2 * 5.0
+    ok &= delay["fig2a"] > 0 and delay["fig2b"] < 0
+    ok &= 0.95 <= energy["fig2b"] <= 1.05   # the anomalous window is lossless (0.986)
+    report(capsys, 11, "pulse delay switch", bool(ok))

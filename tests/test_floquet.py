@@ -358,6 +358,13 @@ class TestStackedPaths:
         with pytest.raises(ParameterError, match="Delta2 must be a real number"):
             liouvillian.build_stack(FIG8, Delta2=grid)
 
+    @pytest.mark.parametrize("delta1", [True, "1", 1j, ["1"]],
+                             ids=["bool", "text", "complex", "text-array"])
+    def test_response_refuses_non_real_detuning(self, delta1):
+        # a cast to float would answer True and "1" with the Delta1 = 1 result
+        with pytest.raises(ParameterError, match="delta1 must be real, got dtype"):
+            floquet.ProbeResponse(FIG2B).response(delta1)
+
     def test_pump_sweep_rejects_nan_detuning(self):
         with pytest.raises(ParameterError, match="Delta2 must be finite, got nan"):
             floquet.pump_sweep(FIG8, [0.0, np.nan])
